@@ -66,6 +66,29 @@ type Stats struct {
 	Probes    uint64 // side-effect-free presence checks (Probe)
 }
 
+// fields lists every counter once, in digest order. Add, EmitObs and
+// DigestInto loop over it, so a new counter is one struct field plus one
+// entry here and its series name in statsNames.
+func (s *Stats) fields() [len(statsNames)]*uint64 {
+	return [...]*uint64{&s.Loads, &s.LoadHits, &s.LoadMiss, &s.Stores, &s.Fills,
+		&s.Merged, &s.ResFails, &s.Evictions, &s.Probes}
+}
+
+// statsNames holds the series name of each fields entry, in the same order.
+var statsNames = [...]string{
+	"ws_cache_loads_total", "ws_cache_load_hits_total", "ws_cache_load_misses_total",
+	"ws_cache_stores_total", "ws_cache_fills_total", "ws_cache_merged_total",
+	"ws_cache_resfails_total", "ws_cache_evictions_total", "ws_cache_probes_total",
+}
+
+// Add accumulates o's counters into s.
+func (s *Stats) Add(o *Stats) {
+	dst := s.fields()
+	for i, v := range o.fields() {
+		*dst[i] += *v
+	}
+}
+
 // MissRate returns load misses / loads.
 func (s Stats) MissRate() float64 {
 	if s.Loads == 0 {

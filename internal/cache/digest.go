@@ -32,15 +32,9 @@ func (c *Cache) DigestInto(h *digest.Hasher) {
 	c.Stats.DigestInto(h)
 }
 
-// DigestInto hashes the counter block field by field.
+// DigestInto hashes the counter block in field-list order.
 func (s *Stats) DigestInto(h *digest.Hasher) {
-	h.U64(s.Loads)
-	h.U64(s.LoadHits)
-	h.U64(s.LoadMiss)
-	h.U64(s.Stores)
-	h.U64(s.Fills)
-	h.U64(s.Merged)
-	h.U64(s.ResFails)
-	h.U64(s.Evictions)
-	h.U64(s.Probes)
+	for _, v := range s.fields() {
+		h.U64(*v)
+	}
 }

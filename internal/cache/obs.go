@@ -2,23 +2,20 @@ package cache
 
 import "warpedslicer/internal/obs"
 
-// EmitObs publishes the cache counters through an obs collector callback.
-// The label pairs distinguish the cache instance (e.g. "cache","l1",
-// "sm","3"); callers that own a Stats copy (aggregates) can emit it
-// directly without a Cache.
-func (s Stats) EmitObs(emit obs.Emit, kv ...string) {
-	c := func(name string, v uint64) {
-		emit(obs.Label(name, kv...), obs.Counter, float64(v))
+// Series returns the Stats series names under one label set (e.g.
+// "cache","l1","sm","3"). Collectors build it once at registration and
+// pass it to EmitObs on every snapshot.
+func Series(kv ...string) []string {
+	return obs.LabelAll(statsNames[:], kv...)
+}
+
+// EmitObs publishes the cache counters through an obs collector callback
+// under names, a table built by Series. Callers that own a Stats copy
+// (aggregates) can emit it directly without a Cache.
+func (s *Stats) EmitObs(emit obs.Emit, names []string) {
+	for i, v := range s.fields() {
+		emit(names[i], obs.Counter, float64(*v))
 	}
-	c("ws_cache_loads_total", s.Loads)
-	c("ws_cache_load_hits_total", s.LoadHits)
-	c("ws_cache_load_misses_total", s.LoadMiss)
-	c("ws_cache_stores_total", s.Stores)
-	c("ws_cache_fills_total", s.Fills)
-	c("ws_cache_merged_total", s.Merged)
-	c("ws_cache_resfails_total", s.ResFails)
-	c("ws_cache_evictions_total", s.Evictions)
-	c("ws_cache_probes_total", s.Probes)
 }
 
 // Register wires this cache's live counters into the registry under the
@@ -26,9 +23,11 @@ func (s Stats) EmitObs(emit obs.Emit, kv ...string) {
 // (ws_cache_ops_total — the denominator for eviction-age rates, since the
 // histogram's x-axis is measured in cache operations).
 func (c *Cache) Register(r *obs.Registry, kv ...string) {
+	names := Series(kv...)
+	ops := obs.Label("ws_cache_ops_total", kv...)
 	r.Collector(func(emit obs.Emit) {
-		c.Stats.EmitObs(emit, kv...)
-		emit(obs.Label("ws_cache_ops_total", kv...), obs.Counter, float64(c.tick))
+		c.Stats.EmitObs(emit, names)
+		emit(ops, obs.Counter, float64(c.tick))
 		c.EvictionAge.Emit(emit, "ws_cache_eviction_age_ops", kv...)
 	})
 }

@@ -29,11 +29,7 @@ func (ch *Channel) DigestInto(h *digest.Hasher) {
 	}
 	h.I64(ch.busFreeAt)
 	h.I64(ch.lastActAt)
-	h.U64(ch.Stats.Served)
-	h.U64(ch.Stats.RowHits)
-	h.U64(ch.Stats.RowMisses)
-	h.U64(ch.Stats.Writes)
-	h.U64(ch.Stats.BusBusy)
-	h.U64(ch.Stats.QueueOccupancy)
-	h.U64(ch.Stats.Ticks)
+	for _, v := range ch.Stats.fields() {
+		h.U64(*v)
+	}
 }

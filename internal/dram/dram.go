@@ -42,6 +42,21 @@ type Stats struct {
 	Ticks          uint64
 }
 
+// fields lists every counter once, in digest order. Channel.Register and
+// Channel.DigestInto loop over it, so a new counter is one struct field plus
+// one entry here and its series name in statsNames.
+func (s *Stats) fields() [len(statsNames)]*uint64 {
+	return [...]*uint64{&s.Served, &s.RowHits, &s.RowMisses, &s.Writes,
+		&s.BusBusy, &s.QueueOccupancy, &s.Ticks}
+}
+
+// statsNames holds the series name of each fields entry, in the same order.
+var statsNames = [...]string{
+	"ws_dram_served_total", "ws_dram_row_hits_total", "ws_dram_row_misses_total",
+	"ws_dram_writes_total", "ws_dram_bus_busy_total", "ws_dram_queue_occupancy_total",
+	"ws_dram_ticks_total",
+}
+
 // BandwidthUtil returns the fraction of ticks the data bus was busy.
 func (s Stats) BandwidthUtil() float64 {
 	if s.Ticks == 0 {

@@ -6,21 +6,15 @@ import "warpedslicer/internal/obs"
 // labels (typically "chan","<i>"). Bus-busy over ticks is the channel's
 // bandwidth utilization; queue occupancy over ticks its mean queue depth.
 func (ch *Channel) Register(r *obs.Registry, kv ...string) {
+	names := obs.LabelAll(statsNames[:], kv...)
+	queueLen := obs.Label("ws_dram_queue_len", kv...)
+	hitKV := append(append([]string(nil), kv...), "row", "hit")
+	missKV := append(append([]string(nil), kv...), "row", "miss")
 	r.Collector(func(emit obs.Emit) {
-		st := ch.Stats
-		c := func(name string, v uint64) {
-			emit(obs.Label(name, kv...), obs.Counter, float64(v))
+		for i, v := range ch.Stats.fields() {
+			emit(names[i], obs.Counter, float64(*v))
 		}
-		c("ws_dram_served_total", st.Served)
-		c("ws_dram_row_hits_total", st.RowHits)
-		c("ws_dram_row_misses_total", st.RowMisses)
-		c("ws_dram_writes_total", st.Writes)
-		c("ws_dram_bus_busy_total", st.BusBusy)
-		c("ws_dram_ticks_total", st.Ticks)
-		c("ws_dram_queue_occupancy_total", st.QueueOccupancy)
-		emit(obs.Label("ws_dram_queue_len", kv...), obs.Gauge, float64(ch.QueueLen()))
-		hitKV := append(append([]string(nil), kv...), "row", "hit")
-		missKV := append(append([]string(nil), kv...), "row", "miss")
+		emit(queueLen, obs.Gauge, float64(ch.QueueLen()))
 		ch.RowHitService.Emit(emit, "ws_dram_service_cycles", hitKV...)
 		ch.RowMissService.Emit(emit, "ws_dram_service_cycles", missKV...)
 	})

@@ -16,7 +16,6 @@ import (
 	"warpedslicer/internal/digest"
 	"warpedslicer/internal/kernels"
 	"warpedslicer/internal/mem"
-	"warpedslicer/internal/memreq"
 	"warpedslicer/internal/obs"
 	"warpedslicer/internal/prof"
 	"warpedslicer/internal/sm"
@@ -240,13 +239,14 @@ func (g *GPU) AllDone() bool {
 	return len(g.Kernels) > 0
 }
 
-// Step advances the device one core cycle. On profiler-elected cycles it
-// routes through the phase-marked twins (sm.CycleProfiled,
-// mem.TickProfiled); on every other cycle — and always when g.Prof is nil
-// — the pre-profiler hot path runs unchanged.
+// Step advances the device one core cycle. p is the engine profiler on
+// cycles it elected and nil on every other cycle (and always when g.Prof
+// is nil), so unelected cycles take no phase marks.
 func (g *GPU) Step() {
-	p := g.Prof
-	profiled := p.StartCycle()
+	var p *prof.Profiler
+	if g.Prof.StartCycle() {
+		p = g.Prof
+	}
 
 	if g.now == 0 {
 		g.dispatcher.Setup(g)
@@ -264,7 +264,7 @@ func (g *GPU) Step() {
 			g.needFill = true
 		}
 	}
-	if profiled {
+	if p != nil {
 		p.Mark(prof.Controller)
 	}
 
@@ -272,32 +272,18 @@ func (g *GPU) Step() {
 	// (stalled-known or idle); combined with a quiescent-except-replies
 	// memory system below, the whole device cycle is skippable.
 	allSkip := true
-	if profiled {
-		for _, s := range g.SMs {
-			if cl := s.CycleProfiled(g.now, p); cl == sm.ClassIssuing || cl == sm.ClassStallUnknown {
-				allSkip = false
-			}
-		}
-	} else {
-		for _, s := range g.SMs {
-			if cl := s.Cycle(g.now); cl == sm.ClassIssuing || cl == sm.ClassStallUnknown {
-				allSkip = false
-			}
+	for _, s := range g.SMs {
+		if cl := s.Cycle(g.now, p); cl == sm.ClassIssuing || cl == sm.ClassStallUnknown {
+			allSkip = false
 		}
 	}
 
-	var replies []memreq.Request
-	if profiled {
-		replies = g.Mem.TickProfiled(g.now, p)
-	} else {
-		replies = g.Mem.Tick(g.now)
-	}
-	for _, reply := range replies {
+	for _, reply := range g.Mem.Cycle(g.now, p) {
 		if reply.SM >= 0 && reply.SM < len(g.SMs) {
 			g.SMs[reply.SM].OnReply(reply.LineAddr)
 		}
 	}
-	if profiled {
+	if p != nil {
 		p.Mark(prof.L1)
 	}
 
@@ -310,7 +296,7 @@ func (g *GPU) Step() {
 	if g.now%64 == 0 {
 		g.checkTargets()
 	}
-	if profiled {
+	if p != nil {
 		p.Mark(prof.Controller)
 	}
 	if g.MonitorEvery > 0 && g.Monitor != nil && g.now%g.MonitorEvery == 0 {
@@ -320,22 +306,22 @@ func (g *GPU) Step() {
 		// coincided with a monitor cycle and reported obs_drain as a
 		// constant 0.
 		//simlint:allow determtaint -- rare-phase stamp: opaque token handed back to RareEnd, never compared to sim state
-		t0 := p.RareStart()
+		t0 := g.Prof.RareStart()
 		g.Monitor(g)
-		p.RareEnd(prof.ObsDrain, t0)
+		g.Prof.RareEnd(prof.ObsDrain, t0)
 	}
 	if g.needFill {
 		g.needFill = false
 		g.dispatcher.Fill(g)
-		if profiled {
+		if p != nil {
 			p.Mark(prof.Controller)
 		}
 	}
 	if g.DigestEvery > 0 && g.now%g.DigestEvery == 0 {
 		//simlint:allow determtaint -- rare-phase stamp: opaque token handed back to RareEnd, never compared to sim state
-		t0 := p.RareStart()
+		t0 := g.Prof.RareStart()
 		g.recordDigest()
-		p.RareEnd(prof.Digest, t0)
+		g.Prof.RareEnd(prof.Digest, t0)
 	}
 	g.now++
 }
@@ -393,44 +379,7 @@ func (g *GPU) AggregateSM() sm.Stats {
 	var agg sm.Stats
 	for _, s := range g.SMs {
 		st := s.Stats()
-		agg.Cycles = st.Cycles
-		agg.Slots += st.Slots
-		agg.Issued += st.Issued
-		agg.StallMem += st.StallMem
-		agg.StallRAW += st.StallRAW
-		agg.StallExec += st.StallExec
-		agg.StallIBuf += st.StallIBuf
-		agg.StallIdle += st.StallIdle
-		agg.SchedFastSlots += st.SchedFastSlots
-		agg.ALUBusy += st.ALUBusy
-		agg.SFUBusy += st.SFUBusy
-		agg.LDSTBusy += st.LDSTBusy
-		agg.RegCycles += st.RegCycles
-		agg.ShmCycles += st.ShmCycles
-		agg.CycIssuing += st.CycIssuing
-		agg.CycStallKnown += st.CycStallKnown
-		agg.CycStallUnknown += st.CycStallUnknown
-		agg.CycIdle += st.CycIdle
-		for i := range agg.PerKernel {
-			agg.PerKernel[i].WarpInsts += st.PerKernel[i].WarpInsts
-			agg.PerKernel[i].ThreadInsts += st.PerKernel[i].ThreadInsts
-			agg.PerKernel[i].CTAsDone += st.PerKernel[i].CTAsDone
-			agg.PerKernel[i].CTAsLaunched += st.PerKernel[i].CTAsLaunched
-			agg.PerKernel[i].LoadsIssued += st.PerKernel[i].LoadsIssued
-			agg.PerKernel[i].StallMem += st.PerKernel[i].StallMem
-			agg.PerKernel[i].StallRAW += st.PerKernel[i].StallRAW
-			agg.PerKernel[i].StallExec += st.PerKernel[i].StallExec
-			agg.PerKernel[i].StallIBuf += st.PerKernel[i].StallIBuf
-		}
-		agg.L1.Loads += st.L1.Loads
-		agg.L1.LoadHits += st.L1.LoadHits
-		agg.L1.LoadMiss += st.L1.LoadMiss
-		agg.L1.Stores += st.L1.Stores
-		agg.L1.Fills += st.L1.Fills
-		agg.L1.Merged += st.L1.Merged
-		agg.L1.ResFails += st.L1.ResFails
-		agg.L1.Evictions += st.L1.Evictions
-		agg.L1.Probes += st.L1.Probes
+		agg.Add(&st)
 	}
 	return agg
 }

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"warpedslicer/internal/obs"
+	"warpedslicer/internal/sm"
 )
 
 // Register wires the whole device into the registry: the cycle clock,
@@ -18,33 +19,34 @@ func (g *GPU) Register(r *obs.Registry) {
 	// Per-kernel progress. The collector walks g.Kernels at snapshot time,
 	// so kernels added after Register (or arriving late) appear without
 	// re-wiring.
+	var insts, resident, done, arrived [MaxKernels]string
+	for k := 0; k < MaxKernels; k++ {
+		kl := strconv.Itoa(k)
+		insts[k] = obs.Label("ws_kernel_thread_insts_total", "kernel", kl)
+		resident[k] = obs.Label("ws_kernel_ctas_resident", "kernel", kl)
+		done[k] = obs.Label("ws_kernel_done", "kernel", kl)
+		arrived[k] = obs.Label("ws_kernel_arrived", "kernel", kl)
+	}
 	r.Collector(func(emit obs.Emit) {
 		for _, k := range g.Kernels {
-			kl := strconv.Itoa(k.Slot)
-			emit(obs.Label("ws_kernel_thread_insts_total", "kernel", kl),
-				obs.Counter, float64(g.KernelInsts(k.Slot)))
+			emit(insts[k.Slot], obs.Counter, float64(g.KernelInsts(k.Slot)))
 			ctas := 0
 			for _, s := range g.SMs {
 				ctas += s.ResidentCTAs(k.Slot)
 			}
-			emit(obs.Label("ws_kernel_ctas_resident", "kernel", kl), obs.Gauge, float64(ctas))
-			done := 0.0
-			if k.Done {
-				done = 1
-			}
-			emit(obs.Label("ws_kernel_done", "kernel", kl), obs.Gauge, done)
-			emit(obs.Label("ws_kernel_arrived", "kernel", kl), obs.Gauge, boolGauge(k.arrived))
+			emit(resident[k.Slot], obs.Gauge, float64(ctas))
+			emit(done[k.Slot], obs.Gauge, boolGauge(k.Done))
+			emit(arrived[k.Slot], obs.Gauge, boolGauge(k.arrived))
 		}
 	})
 
 	// Device-wide SM aggregate (one Stats walk per snapshot). The
 	// label-free per-kernel stall series feed the trace layer's
 	// per-kernel stall tracks.
+	aggNames := sm.NewSeries()
 	r.Collector(func(emit obs.Emit) {
 		agg := g.AggregateSM()
-		agg.EmitObs(emit)
-		agg.EmitKernelObs(emit)
-		agg.L1.EmitObs(emit, "cache", "l1")
+		agg.EmitObs(emit, aggNames)
 		emit("ws_gpu_ff_skippable_cycles_total", obs.Counter, float64(g.ffSkippable))
 	})
 

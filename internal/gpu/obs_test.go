@@ -1,7 +1,10 @@
 package gpu_test
 
 import (
+	"regexp"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"warpedslicer/internal/config"
@@ -178,7 +181,9 @@ func TestKernelInstsInvalidSlot(t *testing.T) {
 
 // TestDeviceStallConservation checks the attribution invariant device-wide
 // on a real co-run: the aggregate per-kernel stall counters sum to the
-// aggregate SM-wide classes, and the obs series agree with the Stats walk.
+// aggregate SM-wide classes, the obs series agree with the Stats walk, and
+// every label-free aggregate counter equals the sum over its per-SM or
+// per-channel series.
 func TestDeviceStallConservation(t *testing.T) {
 	g := gpu.New(config.Baseline(), policy.FCFS{})
 	g.AddKernel(kernels.ByAbbr("IMG"), 0)
@@ -210,4 +215,52 @@ func TestDeviceStallConservation(t *testing.T) {
 	if fromObs != float64(agg.StallMem) {
 		t.Fatalf("obs kernel mem-stall sum %g != aggregate %d", fromObs, agg.StallMem)
 	}
+
+	sums := map[string]float64{}
+	for _, smp := range s.Samples {
+		if a, ok := rollupOf(smp); ok {
+			sums[a] += smp.Value
+		}
+	}
+	for _, a := range []string{"ws_sm_issued_total", `ws_sm_kernel_warp_insts_total{kernel="1"}`,
+		`ws_cache_loads_total{cache="l1"}`, `ws_cache_loads_total{cache="l2"}`, "ws_dram_bus_busy_total"} {
+		if sums[a] == 0 {
+			t.Fatalf("roll-up of %s is empty; test is vacuous", a)
+		}
+	}
+	aggs := make([]string, 0, len(sums))
+	for a := range sums {
+		aggs = append(aggs, a)
+	}
+	sort.Strings(aggs)
+	for _, a := range aggs {
+		if !s.Has(a) {
+			t.Errorf("per-instance series roll up to %s, which is not emitted", a)
+		} else if got := s.Get(a); got != sums[a] {
+			t.Errorf("%s = %g, sum over instances = %g", a, got, sums[a])
+		}
+	}
+}
+
+var instanceLabel = regexp.MustCompile(`,?(sm|chan)="\d+"`)
+
+// rollupOf names the label-free aggregate a per-instance counter rolls up
+// into: ws_sm_* and ws_cache_*{cache="l1"} series drop their sm= label,
+// ws_cache_*{cache="l2"} series and ws_dram_bus_busy_total drop chan=.
+// The cache LRU clock (ws_cache_ops_total) is per-instance only.
+func rollupOf(smp obs.Sample) (string, bool) {
+	n := smp.Name
+	switch {
+	case smp.Kind != obs.Counter || !instanceLabel.MatchString(n):
+		return "", false
+	case strings.HasPrefix(n, "ws_sm_"),
+		strings.HasPrefix(n, `ws_cache_`) && strings.Contains(n, `{cache="l1",sm=`),
+		strings.HasPrefix(n, `ws_cache_`) && strings.Contains(n, `{cache="l2",chan=`) &&
+			!strings.HasPrefix(n, "ws_cache_ops_total"),
+		strings.HasPrefix(n, "ws_dram_bus_busy_total{"):
+	default:
+		return "", false
+	}
+	a := strings.Replace(instanceLabel.ReplaceAllString(n, ""), "{,", "{", 1)
+	return strings.TrimSuffix(a, "{}"), true
 }

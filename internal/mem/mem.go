@@ -163,13 +163,23 @@ func (m *Subsystem) Submit(req memreq.Request, now int64) bool {
 	return true
 }
 
-// Tick advances the subsystem one core cycle and returns the read replies
-// (requests whose data is now available at their SM). TickProfiled is the
-// phase-timed twin; keep the two in lockstep.
+// Tick advances the subsystem one core cycle with no profiler; see Cycle.
 func (m *Subsystem) Tick(now int64) []memreq.Request {
+	return m.Cycle(now, nil)
+}
+
+// Cycle advances the subsystem one core cycle and returns the read
+// replies (requests whose data is now available at their SM). p is the
+// engine profiler on cycles it elected and nil otherwise; its marks
+// charge network drains and reply delivery to icnt, the bank access to
+// l2, and retry drain + FR-FCFS completions to dram.
+func (m *Subsystem) Cycle(now int64, p *prof.Profiler) []memreq.Request {
 	// 1. Drain the request network into partitions, respecting the flit
 	// budget and arrival latency.
 	m.drainReqNet(now)
+	if p != nil {
+		p.Mark(prof.Icnt)
+	}
 
 	// 2. Advance the memory clock domain: L2 banks and DRAM. The pump
 	// order within a partition is load-bearing: retry drain must precede
@@ -180,42 +190,27 @@ func (m *Subsystem) Tick(now int64) []memreq.Request {
 	for m.memAccum >= 1 {
 		m.memAccum--
 		m.memNow++
-		for _, p := range m.parts {
-			m.pumpRetry(p, now)
-			m.pumpL2(p, now)
-			m.pumpDRAM(p, now)
+		for _, part := range m.parts {
+			m.pumpRetry(part, now)
+			if p != nil {
+				p.Mark(prof.DRAM)
+			}
+			m.pumpL2(part, now)
+			if p != nil {
+				p.Mark(prof.L2)
+			}
+			m.pumpDRAM(part, now)
+			if p != nil {
+				p.Mark(prof.DRAM)
+			}
 		}
 	}
 
 	// 3. Deliver replies that finished their return traversal.
-	return m.deliverReplies(now)
-}
-
-// TickProfiled is Tick with prof phase marks at the stage boundaries:
-// network drains and reply delivery charge to icnt, the bank access to
-// l2, and retry drain + FR-FCFS completions to dram. gpu.Step calls it
-// only on profiler-elected cycles, so the unprofiled hot path in Tick
-// stays unchanged. Keep in lockstep with Tick.
-func (m *Subsystem) TickProfiled(now int64, pr *prof.Profiler) []memreq.Request {
-	m.drainReqNet(now)
-	pr.Mark(prof.Icnt)
-
-	m.memAccum += m.cfg.MemClockRatio()
-	for m.memAccum >= 1 {
-		m.memAccum--
-		m.memNow++
-		for _, p := range m.parts {
-			m.pumpRetry(p, now)
-			pr.Mark(prof.DRAM)
-			m.pumpL2(p, now)
-			pr.Mark(prof.L2)
-			m.pumpDRAM(p, now)
-			pr.Mark(prof.DRAM)
-		}
-	}
-
 	replies := m.deliverReplies(now)
-	pr.Mark(prof.Icnt)
+	if p != nil {
+		p.Mark(prof.Icnt)
+	}
 	return replies
 }
 
@@ -384,15 +379,7 @@ func (m *Subsystem) OnlyRepliesInFlight() bool {
 func (m *Subsystem) Stats() Stats {
 	var s Stats
 	for _, p := range m.parts {
-		cs := p.l2.Stats
-		s.L2.Loads += cs.Loads
-		s.L2.LoadHits += cs.LoadHits
-		s.L2.LoadMiss += cs.LoadMiss
-		s.L2.Stores += cs.Stores
-		s.L2.Fills += cs.Fills
-		s.L2.Merged += cs.Merged
-		s.L2.ResFails += cs.ResFails
-		s.L2.Evictions += cs.Evictions
+		s.L2.Add(&p.l2.Stats)
 		s.BusBusy += p.dram.Stats.BusBusy
 		s.MemTicks += p.dram.Stats.Ticks
 	}

@@ -3,6 +3,7 @@ package mem
 import (
 	"strconv"
 
+	"warpedslicer/internal/cache"
 	"warpedslicer/internal/obs"
 )
 
@@ -20,6 +21,14 @@ func (m *Subsystem) Register(r *obs.Registry) {
 	r.Histogram("ws_l2_queue_wait_cycles", &m.l2Wait)
 	r.Histogram("ws_dram_backpressure_wait_cycles", &m.retryWait)
 	m.Spans.Register(r)
+	l2Names := cache.Series("cache", "l2")
+	var served, l2Miss, l2Loads [MaxKernels]string
+	for k := 0; k < MaxKernels; k++ {
+		kl := strconv.Itoa(k)
+		served[k] = obs.Label("ws_dram_served_total", "kernel", kl)
+		l2Miss[k] = obs.Label("ws_l2_load_misses_total", "kernel", kl)
+		l2Loads[k] = obs.Label("ws_l2_loads_total", "kernel", kl)
+	}
 	r.Collector(func(emit obs.Emit) {
 		st := m.Stats()
 		var pending int64
@@ -39,12 +48,11 @@ func (m *Subsystem) Register(r *obs.Registry) {
 		}
 		hit.Emit(emit, "ws_dram_row_hit_service_cycles")
 		miss.Emit(emit, "ws_dram_row_miss_service_cycles")
-		st.L2.EmitObs(emit, "cache", "l2")
+		st.L2.EmitObs(emit, l2Names)
 		for k := 0; k < MaxKernels; k++ {
-			kl := strconv.Itoa(k)
-			emit(obs.Label("ws_dram_served_total", "kernel", kl), obs.Counter, float64(st.DRAMServed[k]))
-			emit(obs.Label("ws_l2_load_misses_total", "kernel", kl), obs.Counter, float64(st.L2MissPerKernel[k]))
-			emit(obs.Label("ws_l2_loads_total", "kernel", kl), obs.Counter, float64(st.L2AccessPerKernel[k]))
+			emit(served[k], obs.Counter, float64(st.DRAMServed[k]))
+			emit(l2Miss[k], obs.Counter, float64(st.L2MissPerKernel[k]))
+			emit(l2Loads[k], obs.Counter, float64(st.L2AccessPerKernel[k]))
 		}
 	})
 }

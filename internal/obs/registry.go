@@ -253,3 +253,14 @@ func Label(name string, kv ...string) string {
 	b.WriteByte('}')
 	return b.String()
 }
+
+// LabelAll applies one label set to every name in a counter table.
+// Collectors call it once at registration, so taking a snapshot formats
+// no labels.
+func LabelAll(names []string, kv ...string) []string {
+	out := make([]string, len(names))
+	for i, name := range names {
+		out[i] = Label(name, kv...)
+	}
+	return out
+}

@@ -12,9 +12,10 @@
 //
 // To stay inside the observability overhead budget (BENCH_obs.json,
 // 2%), the profiler samples: StartCycle elects one cycle in Period, and
-// only elected cycles pay the phase-boundary clock reads. gpu.Step keeps
-// a dual path — the unelected path runs the exact pre-profiler hot loop,
-// so non-sampled cycles cost nothing beyond the election counter.
+// only elected cycles pay the phase-boundary clock reads. gpu.Step hands
+// sm.Cycle and mem.Subsystem.Cycle the profiler on elected cycles and nil
+// otherwise, and every mark sits behind an inline nil check, so
+// non-sampled cycles cost nothing beyond the election counter.
 //
 // This package is the only simulator package allowed to read the wall
 // clock; each read site carries a simlint waiver. Phase timers anywhere

@@ -20,7 +20,8 @@ import (
 //     implementations advance it).
 //   - Stats.SchedFastSlots is excluded for the same reason: it counts
 //     ready-set cache hits, which the reference path by definition never
-//     takes. Every other counter is deterministic and digested.
+//     takes. It is the last entry of the Stats field list; every other
+//     entry, and every KernelStats entry, is deterministic and digested.
 //   - cta.warpRefs is excluded (derived: the residents whose ctaSlot
 //     points at the CTA).
 //   - Pure scheduler wake-up ring events and the warp i-buffer are
@@ -197,38 +198,20 @@ func digestTracker(h *digest.Hasher, t *loadTracker) {
 	h.Int(t.remaining)
 }
 
-// digestStats covers every deterministic counter (SchedFastSlots and the
-// L1 roll-up excluded — the L1 digests as its own section).
+// digestStats covers every deterministic counter in field-list order
+// (SchedFastSlots, the list's last entry, and the L1 roll-up excluded —
+// the L1 digests as its own section).
 func (s *SM) digestStats(h *digest.Hasher) {
 	st := &s.stats
 	h.I64(st.Cycles)
-	h.U64(st.Slots)
-	h.U64(st.Issued)
-	h.U64(st.StallMem)
-	h.U64(st.StallRAW)
-	h.U64(st.StallExec)
-	h.U64(st.StallIBuf)
-	h.U64(st.StallIdle)
-	h.U64(st.CycIssuing)
-	h.U64(st.CycStallKnown)
-	h.U64(st.CycStallUnknown)
-	h.U64(st.CycIdle)
-	h.U64(st.ALUBusy)
-	h.U64(st.SFUBusy)
-	h.U64(st.LDSTBusy)
-	h.U64(st.RegCycles)
-	h.U64(st.ShmCycles)
-	for k := 0; k < MaxKernels; k++ {
-		ks := &st.PerKernel[k]
-		h.U64(ks.WarpInsts)
-		h.U64(ks.ThreadInsts)
-		h.U64(ks.CTAsDone)
-		h.U64(ks.CTAsLaunched)
-		h.U64(ks.LoadsIssued)
-		h.U64(ks.StallMem)
-		h.U64(ks.StallRAW)
-		h.U64(ks.StallExec)
-		h.U64(ks.StallIBuf)
+	fs := st.fields()
+	for _, v := range fs[:len(fs)-1] {
+		h.U64(*v)
+	}
+	for k := range st.PerKernel {
+		for _, v := range st.PerKernel[k].fields() {
+			h.U64(*v)
+		}
 	}
 }
 

@@ -3,59 +3,48 @@ package sm
 import (
 	"strconv"
 
+	"warpedslicer/internal/cache"
 	"warpedslicer/internal/obs"
 )
 
-// EmitObs publishes an SM counter set through an obs collector callback
-// under the given labels. The GPU uses it both per SM ("sm","<i>") and for
-// the device-wide aggregate (no labels).
-func (st Stats) EmitObs(emit obs.Emit, kv ...string) {
-	c := func(name string, v uint64) {
-		emit(obs.Label(name, kv...), obs.Counter, float64(v))
-	}
-	c("ws_sm_slots_total", st.Slots)
-	c("ws_sm_issued_total", st.Issued)
-	c("ws_sm_stall_mem_total", st.StallMem)
-	c("ws_sm_stall_raw_total", st.StallRAW)
-	c("ws_sm_stall_exec_total", st.StallExec)
-	c("ws_sm_stall_ibuf_total", st.StallIBuf)
-	c("ws_sm_stall_idle_total", st.StallIdle)
-	c("ws_sm_sched_fastpath_total", st.SchedFastSlots)
-	c("ws_sm_cyc_issuing_total", st.CycIssuing)
-	c("ws_sm_cyc_stall_known_total", st.CycStallKnown)
-	c("ws_sm_cyc_stall_unknown_total", st.CycStallUnknown)
-	c("ws_sm_cyc_idle_total", st.CycIdle)
-	c("ws_sm_alu_busy_total", st.ALUBusy)
-	c("ws_sm_sfu_busy_total", st.SFUBusy)
-	c("ws_sm_ldst_busy_total", st.LDSTBusy)
-	c("ws_sm_reg_cycles_total", st.RegCycles)
-	c("ws_sm_shm_cycles_total", st.ShmCycles)
+// Series holds the series names of one Stats counter set under one label
+// set: the SM-wide counters, each kernel slot's counters with a "kernel"
+// label appended, and the L1 block under "cache","l1". Collectors build
+// it once at registration and pass it to EmitObs on every snapshot.
+type Series struct {
+	sm     []string
+	kernel [MaxKernels][]string
+	l1     []string
 }
 
-// EmitKernelObs publishes the per-kernel counters under the given labels
-// plus a "kernel" label per slot: the stall-attribution classes (summing
-// one class over all kernel slots reproduces the matching SM-wide
-// ws_sm_stall_* counter) and the progress counters (instructions, CTA
-// launches/completions, loads issued).
-func (st Stats) EmitKernelObs(emit obs.Emit, kv ...string) {
-	for k := 0; k < MaxKernels; k++ {
-		lbl := make([]string, 0, len(kv)+2)
-		lbl = append(lbl, kv...)
-		lbl = append(lbl, "kernel", strconv.Itoa(k))
-		ks := st.PerKernel[k]
-		c := func(name string, v uint64) {
-			emit(obs.Label(name, lbl...), obs.Counter, float64(v))
-		}
-		c("ws_sm_kernel_stall_mem_total", ks.StallMem)
-		c("ws_sm_kernel_stall_raw_total", ks.StallRAW)
-		c("ws_sm_kernel_stall_exec_total", ks.StallExec)
-		c("ws_sm_kernel_stall_ibuf_total", ks.StallIBuf)
-		c("ws_sm_kernel_warp_insts_total", ks.WarpInsts)
-		c("ws_sm_kernel_thread_insts_total", ks.ThreadInsts)
-		c("ws_sm_kernel_ctas_launched_total", ks.CTAsLaunched)
-		c("ws_sm_kernel_ctas_done_total", ks.CTAsDone)
-		c("ws_sm_kernel_loads_issued_total", ks.LoadsIssued)
+// NewSeries builds the series names for the given labels: "sm","<i>" per
+// SM, none for the device-wide aggregate.
+func NewSeries(kv ...string) *Series {
+	s := &Series{
+		sm: obs.LabelAll(statsNames[:], kv...),
+		l1: cache.Series(append([]string{"cache", "l1"}, kv...)...),
 	}
+	for k := range s.kernel {
+		kl := append(append([]string(nil), kv...), "kernel", strconv.Itoa(k))
+		s.kernel[k] = obs.LabelAll(kernelStatsNames[:], kl...)
+	}
+	return s
+}
+
+// EmitObs publishes the counter set through an obs collector callback
+// under names. The GPU uses it both per SM and for the device-wide
+// aggregate. Summing one per-kernel stall class over the kernel slots
+// reproduces the matching SM-wide ws_sm_stall_* counter.
+func (st *Stats) EmitObs(emit obs.Emit, names *Series) {
+	for i, v := range st.fields() {
+		emit(names.sm[i], obs.Counter, float64(*v))
+	}
+	for k := range st.PerKernel {
+		for i, v := range st.PerKernel[k].fields() {
+			emit(names.kernel[k][i], obs.Counter, float64(*v))
+		}
+	}
+	st.L1.EmitObs(emit, names.l1)
 }
 
 // Register wires this SM's live counters into the registry: the scheduler
@@ -63,14 +52,16 @@ func (st Stats) EmitKernelObs(emit obs.Emit, kv ...string) {
 // series that makes profiling layouts and repartitions visible live).
 func (s *SM) Register(r *obs.Registry) {
 	id := strconv.Itoa(s.ID)
+	names := NewSeries("sm", id)
+	var resident [MaxKernels]string
+	for k := range resident {
+		resident[k] = obs.Label("ws_sm_ctas_resident", "sm", id, "kernel", strconv.Itoa(k))
+	}
 	r.Collector(func(emit obs.Emit) {
-		st := s.stats
-		st.EmitObs(emit, "sm", id)
-		st.EmitKernelObs(emit, "sm", id)
-		s.l1.Stats.EmitObs(emit, "cache", "l1", "sm", id)
-		for k := 0; k < MaxKernels; k++ {
-			emit(obs.Label("ws_sm_ctas_resident", "sm", id, "kernel", strconv.Itoa(k)),
-				obs.Gauge, float64(s.kUsed[k].CTAs))
+		st := s.Stats()
+		st.EmitObs(emit, names)
+		for k, name := range resident {
+			emit(name, obs.Gauge, float64(s.kUsed[k].CTAs))
 		}
 	})
 }

@@ -19,9 +19,9 @@ func TestEmitKernelObsIncludesProgressCounters(t *testing.T) {
 	st.PerKernel[1] = KernelStats{WarpInsts: 5, ThreadInsts: 160, CTAsLaunched: 1, CTAsDone: 1, LoadsIssued: 2}
 
 	got := map[string]float64{}
-	st.EmitKernelObs(func(name string, kind obs.Kind, v float64) {
+	st.EmitObs(func(name string, kind obs.Kind, v float64) {
 		got[name] = v
-	})
+	}, NewSeries())
 
 	want := map[string]float64{
 		`ws_sm_kernel_warp_insts_total{kernel="0"}`:    7,

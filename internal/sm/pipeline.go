@@ -51,15 +51,23 @@ func (c CycleClass) String() string {
 	return "unknown"
 }
 
-// Cycle advances the SM by one core-clock cycle and classifies it.
-// CycleProfiled is the phase-timed twin; keep the two in lockstep.
-func (s *SM) Cycle(now int64) CycleClass {
+// Cycle advances the SM by one core-clock cycle and classifies it. p is
+// the engine profiler on cycles it elected and nil otherwise; its marks
+// charge the stages to execute (writeback drain), l1 (line-queue pump)
+// and issue (scheduler loop).
+func (s *SM) Cycle(now int64, p *prof.Profiler) CycleClass {
 	s.stats.Cycles++
 	s.stats.RegCycles += uint64(s.usedRegs)
 	s.stats.ShmCycles += uint64(s.usedShm)
 
 	s.drainWritebacks(now)
+	if p != nil {
+		p.Mark(prof.Execute)
+	}
 	s.pumpMemQueue(now)
+	if p != nil {
+		p.Mark(prof.L1)
+	}
 
 	issued := false
 	for sched := 0; sched < s.cfg.SM.Schedulers; sched++ {
@@ -68,36 +76,9 @@ func (s *SM) Cycle(now int64) CycleClass {
 			issued = true
 		}
 	}
-
-	cl := s.classify(issued)
-	if assert.Enabled {
-		s.checkInvariants()
+	if p != nil {
+		p.Mark(prof.Issue)
 	}
-	return cl
-}
-
-// CycleProfiled is Cycle with prof phase marks at the stage boundaries
-// (execute = writeback drain, l1 = line-queue pump, issue = scheduler
-// loop). gpu.Step calls it only on cycles the profiler elected, so the
-// unprofiled hot path above stays unchanged. Keep in lockstep with Cycle.
-func (s *SM) CycleProfiled(now int64, p *prof.Profiler) CycleClass {
-	s.stats.Cycles++
-	s.stats.RegCycles += uint64(s.usedRegs)
-	s.stats.ShmCycles += uint64(s.usedShm)
-
-	s.drainWritebacks(now)
-	p.Mark(prof.Execute)
-	s.pumpMemQueue(now)
-	p.Mark(prof.L1)
-
-	issued := false
-	for sched := 0; sched < s.cfg.SM.Schedulers; sched++ {
-		s.stats.Slots++
-		if s.issueFrom(sched, now) {
-			issued = true
-		}
-	}
-	p.Mark(prof.Issue)
 
 	cl := s.classify(issued)
 	if assert.Enabled {

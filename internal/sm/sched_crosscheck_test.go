@@ -63,7 +63,7 @@ func (p *smPair) run(t *testing.T, from, to int64) {
 	t.Helper()
 	for now := from; now < to; now++ {
 		p.ref.CycleRef(now)
-		p.rdy.Cycle(now)
+		p.rdy.Cycle(now, nil)
 		for _, r := range p.refSub.Tick(now) {
 			p.ref.OnReply(r.LineAddr)
 		}

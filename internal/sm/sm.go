@@ -174,6 +174,24 @@ type KernelStats struct {
 	StallMem, StallRAW, StallExec, StallIBuf uint64
 }
 
+// fields lists every counter once, in digest order. Stats.Add, EmitObs
+// and digestStats loop over it, so a new counter is one struct field plus
+// one entry here and its series name in kernelStatsNames.
+func (ks *KernelStats) fields() [len(kernelStatsNames)]*uint64 {
+	return [...]*uint64{&ks.WarpInsts, &ks.ThreadInsts, &ks.CTAsDone, &ks.CTAsLaunched,
+		&ks.LoadsIssued, &ks.StallMem, &ks.StallRAW, &ks.StallExec, &ks.StallIBuf}
+}
+
+// kernelStatsNames holds the series name of each KernelStats.fields
+// entry, in the same order.
+var kernelStatsNames = [...]string{
+	"ws_sm_kernel_warp_insts_total", "ws_sm_kernel_thread_insts_total",
+	"ws_sm_kernel_ctas_done_total", "ws_sm_kernel_ctas_launched_total",
+	"ws_sm_kernel_loads_issued_total", "ws_sm_kernel_stall_mem_total",
+	"ws_sm_kernel_stall_raw_total", "ws_sm_kernel_stall_exec_total",
+	"ws_sm_kernel_stall_ibuf_total",
+}
+
 // Stats is the per-SM counter set.
 type Stats struct {
 	Cycles int64
@@ -201,6 +219,50 @@ type Stats struct {
 
 	PerKernel [MaxKernels]KernelStats
 	L1        cache.Stats
+}
+
+// fields lists every uint64 counter once, in digest order, with
+// SchedFastSlots last: digestStats hashes all entries but that one (see
+// digest.go). Add, EmitObs and digestStats loop over the list, so a new
+// counter is one struct field plus one entry here and its series name in
+// statsNames.
+func (st *Stats) fields() [len(statsNames)]*uint64 {
+	return [...]*uint64{&st.Slots, &st.Issued,
+		&st.StallMem, &st.StallRAW, &st.StallExec, &st.StallIBuf, &st.StallIdle,
+		&st.CycIssuing, &st.CycStallKnown, &st.CycStallUnknown, &st.CycIdle,
+		&st.ALUBusy, &st.SFUBusy, &st.LDSTBusy, &st.RegCycles, &st.ShmCycles,
+		&st.SchedFastSlots}
+}
+
+// statsNames holds the series name of each Stats.fields entry, in the
+// same order.
+var statsNames = [...]string{
+	"ws_sm_slots_total", "ws_sm_issued_total",
+	"ws_sm_stall_mem_total", "ws_sm_stall_raw_total", "ws_sm_stall_exec_total",
+	"ws_sm_stall_ibuf_total", "ws_sm_stall_idle_total",
+	"ws_sm_cyc_issuing_total", "ws_sm_cyc_stall_known_total",
+	"ws_sm_cyc_stall_unknown_total", "ws_sm_cyc_idle_total",
+	"ws_sm_alu_busy_total", "ws_sm_sfu_busy_total", "ws_sm_ldst_busy_total",
+	"ws_sm_reg_cycles_total", "ws_sm_shm_cycles_total",
+	"ws_sm_sched_fastpath_total",
+}
+
+// Add accumulates o's counters into st: every field-list counter, each
+// kernel slot's counters and the L1 block. Cycles is the shared device
+// clock, not a count, so it is copied rather than summed.
+func (st *Stats) Add(o *Stats) {
+	st.Cycles = o.Cycles
+	dst := st.fields()
+	for i, v := range o.fields() {
+		*dst[i] += *v
+	}
+	for k := range st.PerKernel {
+		dst := st.PerKernel[k].fields()
+		for i, v := range o.PerKernel[k].fields() {
+			*dst[i] += *v
+		}
+	}
+	st.L1.Add(&o.L1)
 }
 
 // SM is one streaming multiprocessor.

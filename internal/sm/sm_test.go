@@ -19,7 +19,7 @@ func newSM(t *testing.T) (*SM, config.GPU) {
 // runSM steps the SM and its memory subsystem together.
 func runSM(s *SM, sub *mem.Subsystem, cycles int64) {
 	for now := int64(0); now < cycles; now++ {
-		s.Cycle(now)
+		s.Cycle(now, nil)
 		for _, r := range sub.Tick(now) {
 			s.OnReply(r.LineAddr)
 		}
@@ -265,7 +265,7 @@ func TestExitWaitsForOutstandingLoads(t *testing.T) {
 	// Without memory replies the loads never return; the CTA must stay
 	// resident no matter how long we run the SM alone.
 	for now := int64(0); now < 5000; now++ {
-		s.Cycle(now)
+		s.Cycle(now, nil)
 		// Deliberately do NOT tick the memory subsystem.
 	}
 	if done {
@@ -273,7 +273,7 @@ func TestExitWaitsForOutstandingLoads(t *testing.T) {
 	}
 	// Now service memory: the CTA completes.
 	for now := int64(5000); now < 200000 && !done; now++ {
-		s.Cycle(now)
+		s.Cycle(now, nil)
 		for _, r := range sub.Tick(now) {
 			s.OnReply(r.LineAddr)
 		}
@@ -497,7 +497,7 @@ func TestHaltKernelWithInFlightMemory(t *testing.T) {
 	// Run until the memory kernel has loads in flight.
 	now := int64(0)
 	for ; now < 20000 && len(s.waiters) == 0; now++ {
-		s.Cycle(now)
+		s.Cycle(now, nil)
 		for _, r := range sub.Tick(now) {
 			s.OnReply(r.LineAddr)
 		}
@@ -519,7 +519,7 @@ func TestHaltKernelWithInFlightMemory(t *testing.T) {
 	// while the surviving kernel keeps issuing.
 	sawDrain := false
 	for end := now + 20000; now < end; now++ {
-		s.Cycle(now)
+		s.Cycle(now, nil)
 		for _, r := range sub.Tick(now) {
 			s.OnReply(r.LineAddr)
 		}

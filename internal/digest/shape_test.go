@@ -103,11 +103,16 @@ func shapeFingerprint() digest.Sum {
 }
 
 // pinnedShape maps each digest.Version to the struct-shape fingerprint it
-// was audited against. (The Version 1 pin was re-recorded when the walk
-// started including unexported fields — the struct graph itself did not
-// change, only the fingerprint's coverage, so no version bump.)
+// was audited against. (The Version 1 pin was re-recorded twice without a
+// version bump, because neither change altered a hashed byte: once when
+// the walk started including unexported fields — only the fingerprint's
+// coverage changed — and once when the memory queues, miss-waiter maps
+// and SM writeback ring moved onto the queue package's rings, waiter
+// tables and a node arena, whose walks hash each queue front to back and
+// each waiter table in sorted line order exactly as the slices and maps
+// they replaced did.)
 var pinnedShape = map[int]digest.Sum{
-	1: 0x85bd4ffe14d3673d,
+	1: 0x4d864115df8ed2db,
 }
 
 func TestStructShapePinnedToDigestVersion(t *testing.T) {
@@ -142,7 +147,7 @@ func TestShapeWalkCoversKnownState(t *testing.T) {
 		// Unexported architectural state must be in the line set too —
 		// the PR 9 gap this file used to have.
 		"warpedslicer/internal/warp.Warp.fetchReadyAt int64",
-		"warpedslicer/internal/sm.SM.memQLen int",
+		"warpedslicer/internal/queue.Ring[warpedslicer/internal/sm.lineOp].n int",
 		"warpedslicer/internal/cache.Cache.tick uint64",
 	} {
 		found := false

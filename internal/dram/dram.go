@@ -9,6 +9,7 @@ package dram
 
 import (
 	"fmt"
+	"slices"
 
 	"warpedslicer/internal/assert"
 	"warpedslicer/internal/memreq"
@@ -90,6 +91,10 @@ type Channel struct {
 	busFreeAt int64
 	lastActAt int64 // for tRRD
 
+	// done is the buffer Tick returns, refilled on every call.
+	//simlint:nodigest -- scratch: output buffer reset at the start of every Tick
+	done []memreq.Request
+
 	Stats Stats
 
 	// Spans, when set, receives row-buffer outcome and queue/service
@@ -112,7 +117,12 @@ func NewChannel(cfg Config) *Channel {
 	if cfg.Banks <= 0 || cfg.RowBytes == 0 || cfg.QueueDepth <= 0 || cfg.BurstCycles <= 0 {
 		panic(fmt.Sprintf("dram: invalid config %+v", cfg))
 	}
-	return &Channel{cfg: cfg, banks: make([]bank, cfg.Banks), lastActAt: -1 << 60}
+	return &Channel{
+		cfg:       cfg,
+		banks:     make([]bank, cfg.Banks),
+		queue:     make([]pending, 0, cfg.QueueDepth),
+		lastActAt: -1 << 60,
+	}
 }
 
 // Full reports whether the scheduling queue cannot accept another request.
@@ -140,7 +150,8 @@ func (ch *Channel) rowOf(lineAddr uint64) uint64 {
 
 // Tick advances the channel to memory-clock cycle `now`: it issues at most
 // one scheduled transaction and returns all requests whose data completed
-// at or before `now`.
+// at or before `now`. The slice is a buffer the channel reuses: it is
+// valid until the next Tick.
 func (ch *Channel) Tick(now int64) []memreq.Request {
 	ch.Stats.Ticks++
 	ch.Stats.QueueOccupancy += uint64(len(ch.queue))
@@ -157,17 +168,17 @@ func (ch *Channel) Tick(now int64) []memreq.Request {
 
 	ch.issue(now)
 
-	var done []memreq.Request
+	ch.done = ch.done[:0]
 	kept := ch.inflight[:0]
 	for _, f := range ch.inflight {
 		if f.done <= now {
-			done = append(done, f.req)
+			ch.done = append(ch.done, f.req)
 		} else {
 			kept = append(kept, f)
 		}
 	}
 	ch.inflight = kept
-	return done
+	return ch.done
 }
 
 // issue applies FR-FCFS: the oldest row-buffer-hitting request whose bank is
@@ -247,7 +258,7 @@ func (ch *Channel) issue(now int64) {
 		ch.Spans.MarkDRAMIssue(p.req.Span, rowHit, now-p.arrival, done-now)
 	}
 
-	ch.queue = append(ch.queue[:pick], ch.queue[pick+1:]...)
+	ch.queue = slices.Delete(ch.queue, pick, pick+1)
 	ch.inflight = append(ch.inflight, inflight{req: p.req, done: done})
 }
 

@@ -256,3 +256,41 @@ func TestServiceHistogramsMatchRowStats(t *testing.T) {
 		t.Errorf("mean row-miss service %.1f below timing floor %d", mean, minMiss)
 	}
 }
+
+// TestTickAllocatesNothingWhenSaturated pins the hot-path allocation
+// contract: with the scheduling queue kept full by a mixed row-hit and
+// row-miss stream, Enqueue + Tick allocate nothing once the channel has
+// warmed up (the completion slice is a reused buffer and the FR-FCFS pick
+// is removed in place).
+func TestTickAllocatesNothingWhenSaturated(t *testing.T) {
+	cfg := testCfg()
+	ch := NewChannel(cfg)
+	var now int64
+	var seq uint64
+	served := 0
+	step := func() {
+		for !ch.Full() {
+			// Runs of four lines share a row; runs hop across banks.
+			ch.Enqueue(memreq.Request{LineAddr: (seq/4)*cfg.RowBytes*3 + (seq%4)*128, Write: seq%5 == 0}, now)
+			seq++
+		}
+		served += len(ch.Tick(now))
+		now++
+	}
+	for now < 4096 {
+		step()
+	}
+	// A completion comes at most once per BurstCycles, so each run spans
+	// 16 ticks: an allocation per completion would average at least 1.
+	if n := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < 16; i++ {
+			step()
+		}
+	}); n != 0 {
+		t.Fatalf("Enqueue+Tick allocates %v times per 16 ticks when saturated, want 0", n)
+	}
+	if ch.QueueLen() != cfg.QueueDepth || ch.Stats.RowHits == 0 || ch.Stats.RowMisses == 0 {
+		t.Fatalf("trace not saturating a mixed stream: queue %d/%d, hits %d, misses %d",
+			ch.QueueLen(), cfg.QueueDepth, ch.Stats.RowHits, ch.Stats.RowMisses)
+	}
+}

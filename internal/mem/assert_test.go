@@ -2,7 +2,11 @@
 
 package mem
 
-import "testing"
+import (
+	"testing"
+
+	"warpedslicer/internal/memreq"
+)
 
 // TestDrainedPanicsOnLeakedSpan pins the span-conservation invariant: a
 // span opened but never completed while the hierarchy reports drained is
@@ -39,4 +43,19 @@ func TestDrainedCleanAfterFullRoundTrip(t *testing.T) {
 	if m.Spans.Open() != 0 {
 		t.Fatalf("%d spans open after drain", m.Spans.Open())
 	}
+}
+
+// TestWaiterLinesTrackL2MSHRs pins the per-partition invariant that every
+// L2 waiter line holds exactly one MSHR: a waiter parked with no miss
+// outstanding (so no fill will ever wake it) must panic under simassert.
+func TestWaiterLinesTrackL2MSHRs(t *testing.T) {
+	m := newSub()
+	floodChannel0(t, m, 64, 4) // the invariant holds through real traffic
+	m.parts[0].waiters.Add(0x80, memreq.Request{LineAddr: 0x80})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a waiter line without an L2 MSHR must panic under simassert")
+		}
+	}()
+	m.Cycle(600_000, nil)
 }

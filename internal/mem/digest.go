@@ -1,9 +1,9 @@
 package mem
 
 import (
-	"slices"
-
 	"warpedslicer/internal/digest"
+	"warpedslicer/internal/memreq"
+	"warpedslicer/internal/queue"
 )
 
 // The memory hierarchy digests as three components matching its pipeline
@@ -15,8 +15,8 @@ import (
 // DigestIcnt hashes the interconnect: both network queues, the per-SM
 // reply ledger, and the core→memory clock-domain accumulator.
 func (m *Subsystem) DigestIcnt(h *digest.Hasher) {
-	digestTimed(h, m.reqNet)
-	digestTimed(h, m.replyNet)
+	digestTimed(h, &m.reqNet)
+	digestTimed(h, &m.replyNet)
 	h.Int(len(m.replyPending))
 	for _, v := range m.replyPending {
 		h.I64(v)
@@ -32,22 +32,9 @@ func (m *Subsystem) DigestL2(h *digest.Hasher) {
 	h.Int(len(m.parts))
 	for _, p := range m.parts {
 		p.l2.DigestInto(h)
-		digestTimed(h, p.input)
-		digestTimed(h, p.retry)
-		keys := make([]uint64, 0, len(p.waiters))
-		for la := range p.waiters {
-			keys = append(keys, la)
-		}
-		slices.Sort(keys)
-		h.Int(len(keys))
-		for _, la := range keys {
-			h.U64(la)
-			ws := p.waiters[la]
-			h.Int(len(ws))
-			for _, w := range ws {
-				w.DigestInto(h)
-			}
-		}
+		digestTimed(h, &p.input)
+		digestTimed(h, &p.retry)
+		digestWaiters(h, p.waiters)
 	}
 }
 
@@ -77,10 +64,27 @@ func (m *Subsystem) DigestInto(h *digest.Hasher) {
 	m.DigestDRAM(h)
 }
 
-func digestTimed(h *digest.Hasher, ts []timed) {
-	h.Int(len(ts))
-	for i := range ts {
-		ts[i].req.DigestInto(h)
-		h.I64(ts[i].readyAt)
+// digestWaiters walks the waiter lines in ascending order, each line's
+// list in arrival order.
+func digestWaiters(h *digest.Hasher, w *queue.Waiters[memreq.Request]) {
+	lines := w.SortedLines()
+	h.Int(len(lines))
+	for _, la := range lines {
+		h.U64(la)
+		ws := w.Get(la)
+		h.Int(len(ws))
+		for _, r := range ws {
+			r.DigestInto(h)
+		}
+	}
+}
+
+// digestTimed walks a queue front to back.
+func digestTimed(h *digest.Hasher, q *queue.Ring[timed]) {
+	h.Int(q.Len())
+	for i := 0; i < q.Len(); i++ {
+		t := q.At(i)
+		t.req.DigestInto(h)
+		h.I64(t.readyAt)
 	}
 }

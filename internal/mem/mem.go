@@ -13,6 +13,7 @@ import (
 	"warpedslicer/internal/memreq"
 	"warpedslicer/internal/obs"
 	"warpedslicer/internal/prof"
+	"warpedslicer/internal/queue"
 	"warpedslicer/internal/span"
 )
 
@@ -27,13 +28,15 @@ type timed struct {
 
 // partition is one memory channel: L2 bank + DRAM controller.
 type partition struct {
-	l2      *cache.Cache
-	dram    *dram.Channel
-	input   []timed                     // requests that traversed the icnt
-	waiters map[uint64][]memreq.Request // line -> reads waiting for DRAM
+	l2   *cache.Cache
+	dram *dram.Channel
+	// input holds requests that traversed the icnt. It is not bounded by
+	// the MSHRs (stores are write-through), so it is a growable ring.
+	input   queue.Ring[timed]
+	waiters *queue.Waiters[memreq.Request] // line -> reads waiting for DRAM
 	// retry holds requests blocked on a full DRAM queue; readyAt is the
 	// core cycle they were parked (source of the backpressure histogram).
-	retry []timed
+	retry queue.Ring[timed]
 }
 
 // Stats aggregates memory-system activity.
@@ -64,9 +67,12 @@ func (s Stats) BandwidthUtil() float64 {
 type Subsystem struct {
 	cfg config.GPU //simlint:nodigest -- config: fixed at construction, never mutates during a run
 
-	reqNet   []timed
+	reqNet   queue.Ring[timed]
 	reqCap   int //simlint:nodigest -- config: queue capacity derived from cfg at construction
-	replyNet []timed
+	replyNet queue.Ring[timed]
+	// replies is the buffer Cycle returns, refilled on every call.
+	//simlint:nodigest -- scratch: output buffer reset at the start of every deliverReplies
+	replies []memreq.Request
 
 	// replyPending counts, per SM, read replies sitting in the reply
 	// network with a stamped readyAt. The SM cycle classifier compares it
@@ -80,7 +86,8 @@ type Subsystem struct {
 	memAccum float64
 	memNow   int64
 
-	// perSMServed mirrors Stats.DRAMServedPerSM for live sampling.
+	// perSMServed counts DRAM transactions per originating SM; Stats
+	// copies it into DRAMServedPerSM.
 	perSMServed []uint64
 	perKServed  [MaxKernels]uint64
 	perKL2Miss  [MaxKernels]uint64
@@ -111,9 +118,11 @@ type Subsystem struct {
 
 // New builds the memory subsystem for the given configuration.
 func New(cfg config.GPU) *Subsystem {
+	reqCap := cfg.Icnt.FlitsPerCycle * 16
 	m := &Subsystem{
 		cfg:          cfg,
-		reqCap:       cfg.Icnt.FlitsPerCycle * 16,
+		reqNet:       queue.NewRing[timed](reqCap),
+		reqCap:       reqCap,
 		perSMServed:  make([]uint64, cfg.NumSMs),
 		replyPending: make([]int64, cfg.NumSMs),
 		Spans: span.NewCollector(span.DefaultPeriod,
@@ -132,7 +141,7 @@ func New(cfg config.GPU) *Subsystem {
 				BurstCycles: cfg.Memory.BurstCycles,
 				QueueDepth:  cfg.Memory.QueueDepth,
 			}),
-			waiters: make(map[uint64][]memreq.Request),
+			waiters: queue.NewWaiters[memreq.Request](cfg.L2.MSHRs),
 		})
 	}
 	for _, p := range m.parts {
@@ -148,17 +157,17 @@ func (m *Subsystem) channelOf(lineAddr uint64) int {
 
 // CanAccept reports whether the interconnect can take another request this
 // cycle.
-func (m *Subsystem) CanAccept() bool { return len(m.reqNet) < m.reqCap }
+func (m *Subsystem) CanAccept() bool { return m.reqNet.Len() < m.reqCap }
 
 // Submit injects a request into the interconnect. It returns false when the
 // network is saturated (the SM must stall and retry).
 func (m *Subsystem) Submit(req memreq.Request, now int64) bool {
-	if len(m.reqNet) >= m.reqCap {
+	if m.reqNet.Len() >= m.reqCap {
 		return false
 	}
-	m.reqNet = append(m.reqNet, timed{req: req, readyAt: now + int64(m.cfg.Icnt.LatencyCycles)})
-	if assert.Enabled && len(m.reqNet) > m.reqCap {
-		assert.Failf("mem: request-network overflow after submit: %d > %d", len(m.reqNet), m.reqCap)
+	m.reqNet.Push(timed{req: req, readyAt: now + int64(m.cfg.Icnt.LatencyCycles)})
+	if assert.Enabled && m.reqNet.Len() > m.reqCap {
+		assert.Failf("mem: request-network overflow after submit: %d > %d", m.reqNet.Len(), m.reqCap)
 	}
 	return true
 }
@@ -169,7 +178,9 @@ func (m *Subsystem) Tick(now int64) []memreq.Request {
 }
 
 // Cycle advances the subsystem one core cycle and returns the read
-// replies (requests whose data is now available at their SM). p is the
+// replies (requests whose data is now available at their SM). The slice
+// is a buffer the subsystem reuses: it is valid until the next Cycle or
+// Tick, so a caller that keeps replies must copy them. p is the
 // engine profiler on cycles it elected and nil otherwise; its marks
 // charge network drains and reply delivery to icnt, the bank access to
 // l2, and retry drain + FR-FCFS completions to dram.
@@ -207,69 +218,61 @@ func (m *Subsystem) Cycle(now int64, p *prof.Profiler) []memreq.Request {
 	}
 
 	// 3. Deliver replies that finished their return traversal.
-	replies := m.deliverReplies(now)
+	m.deliverReplies(now)
 	if p != nil {
 		p.Mark(prof.Icnt)
 	}
-	return replies
+	if assert.Enabled {
+		m.checkInvariants()
+	}
+	return m.replies
 }
 
 // drainReqNet moves arrived requests from the interconnect into their
 // partition's input queue, respecting the per-cycle flit budget.
 func (m *Subsystem) drainReqNet(now int64) {
-	budget := m.cfg.Icnt.FlitsPerCycle
-	var keep []timed
-	for i, t := range m.reqNet {
-		if budget == 0 || t.readyAt > now {
-			keep = append(keep, m.reqNet[i:]...)
+	for budget := m.cfg.Icnt.FlitsPerCycle; budget > 0 && m.reqNet.Len() > 0; budget-- {
+		if m.reqNet.At(0).readyAt > now {
 			break
 		}
-		p := m.parts[m.channelOf(t.req.LineAddr)]
-		p.input = append(p.input, t)
-		budget--
+		t := m.reqNet.Pop()
+		m.parts[m.channelOf(t.req.LineAddr)].input.Push(t)
 	}
-	m.reqNet = keep
 }
 
-// deliverReplies returns the read replies whose return traversal finished,
-// respecting the per-cycle flit budget.
-func (m *Subsystem) deliverReplies(now int64) []memreq.Request {
-	var replies []memreq.Request
-	budget := m.cfg.Icnt.FlitsPerCycle
-	var keepR []timed
-	for i, t := range m.replyNet {
-		if budget == 0 || t.readyAt > now {
-			keepR = append(keepR, m.replyNet[i:]...)
+// deliverReplies refills m.replies with the read replies whose return
+// traversal finished, respecting the per-cycle flit budget.
+func (m *Subsystem) deliverReplies(now int64) {
+	m.replies = m.replies[:0]
+	for budget := m.cfg.Icnt.FlitsPerCycle; budget > 0 && m.replyNet.Len() > 0; budget-- {
+		if m.replyNet.At(0).readyAt > now {
 			break
 		}
-		replies = append(replies, t.req)
+		t := m.replyNet.Pop()
+		m.replies = append(m.replies, t.req)
 		if t.req.SM >= 0 && t.req.SM < len(m.replyPending) {
 			m.replyPending[t.req.SM]--
 		}
 		m.l1RT.Observe(now - t.req.Issued)
 		m.Spans.Complete(t.req.Span, now)
-		budget--
 	}
-	m.replyNet = keepR
-	return replies
 }
 
 // pumpRetry re-enqueues requests previously blocked on a full DRAM queue,
 // observing how long the backpressure parked them.
 func (m *Subsystem) pumpRetry(p *partition, coreNow int64) {
-	for len(p.retry) > 0 && !p.dram.Full() {
-		t := p.retry[0]
+	for p.retry.Len() > 0 && !p.dram.Full() {
+		t := p.retry.Pop()
 		p.dram.Enqueue(t.req, m.memNow)
 		m.retryWait.Observe(coreNow - t.readyAt)
 		m.Spans.MarkDRAMEnqueue(t.req.Span, coreNow)
-		p.retry = p.retry[1:]
 	}
 }
 
 // pumpL2 performs one L2 bank access per memory cycle.
 func (m *Subsystem) pumpL2(p *partition, coreNow int64) {
-	if len(p.input) > 0 {
-		t := p.input[0]
+	if p.input.Len() > 0 {
+		t := *p.input.At(0)
 		req := t.req
 		res := p.l2.Access(req.LineAddr, req.Write)
 		consumed := true
@@ -277,7 +280,7 @@ func (m *Subsystem) pumpL2(p *partition, coreNow int64) {
 		case req.Write:
 			// Write-through: always forward to DRAM.
 			if p.dram.Full() {
-				p.retry = append(p.retry, timed{req: req, readyAt: coreNow})
+				p.retry.Push(timed{req: req, readyAt: coreNow})
 			} else {
 				p.dram.Enqueue(req, m.memNow)
 			}
@@ -287,9 +290,9 @@ func (m *Subsystem) pumpL2(p *partition, coreNow int64) {
 		case res == cache.Miss:
 			m.perKL2Miss[req.Kernel%MaxKernels]++
 			m.Spans.MarkL2(req.Span, span.OutcomeL2Miss, coreNow, t.readyAt)
-			p.waiters[req.LineAddr] = append(p.waiters[req.LineAddr], req)
+			p.waiters.Add(req.LineAddr, req)
 			if p.dram.Full() {
-				p.retry = append(p.retry, timed{req: req, readyAt: coreNow})
+				p.retry.Push(timed{req: req, readyAt: coreNow})
 			} else {
 				p.dram.Enqueue(req, m.memNow)
 				m.Spans.MarkDRAMEnqueue(req.Span, coreNow)
@@ -297,7 +300,7 @@ func (m *Subsystem) pumpL2(p *partition, coreNow int64) {
 		case res == cache.MissMerged:
 			m.perKL2Miss[req.Kernel%MaxKernels]++
 			m.Spans.MarkL2(req.Span, span.OutcomeMerged, coreNow, t.readyAt)
-			p.waiters[req.LineAddr] = append(p.waiters[req.LineAddr], req)
+			p.waiters.Add(req.LineAddr, req)
 		case res == cache.ReservationFail:
 			consumed = false // structural stall: retry next cycle
 		default:
@@ -310,7 +313,7 @@ func (m *Subsystem) pumpL2(p *partition, coreNow int64) {
 				m.perKL2Acc[req.Kernel%MaxKernels]++
 			}
 			m.l2Wait.Observe(coreNow - t.readyAt)
-			p.input = p.input[1:]
+			p.input.Pop()
 		}
 	}
 }
@@ -326,16 +329,15 @@ func (m *Subsystem) pumpDRAM(p *partition, coreNow int64) {
 			continue
 		}
 		p.l2.Fill(done.LineAddr)
-		for _, w := range p.waiters[done.LineAddr] {
+		for _, w := range p.waiters.Take(done.LineAddr) {
 			m.Spans.MarkFill(w.Span, coreNow)
 			m.scheduleReply(w, coreNow, int64(m.cfg.L2.HitLatency))
 		}
-		delete(p.waiters, done.LineAddr)
 	}
 }
 
 func (m *Subsystem) scheduleReply(req memreq.Request, coreNow, extra int64) {
-	m.replyNet = append(m.replyNet, timed{
+	m.replyNet.Push(timed{
 		req:     req,
 		readyAt: coreNow + extra + int64(m.cfg.Icnt.LatencyCycles),
 	})
@@ -364,11 +366,11 @@ func (m *Subsystem) RepliesInFlight(sm int) int {
 // a set of stamped readyAt deliveries — combined with all-SMs-skippable
 // it makes the device cycle fast-forwardable.
 func (m *Subsystem) OnlyRepliesInFlight() bool {
-	if len(m.reqNet) > 0 {
+	if m.reqNet.Len() > 0 {
 		return false
 	}
 	for _, p := range m.parts {
-		if len(p.input) > 0 || len(p.retry) > 0 || len(p.waiters) > 0 || p.dram.Pending() > 0 {
+		if p.input.Len() > 0 || p.retry.Len() > 0 || p.waiters.Len() > 0 || p.dram.Pending() > 0 {
 			return false
 		}
 	}
@@ -392,19 +394,13 @@ func (m *Subsystem) Stats() Stats {
 	return s
 }
 
-// PerSMServed returns a copy of the per-SM DRAM transaction counters
-// (used by the profiling controller to window bandwidth samples).
-func (m *Subsystem) PerSMServed() []uint64 {
-	return append([]uint64(nil), m.perSMServed...)
-}
-
 // Drained reports whether no request remains anywhere in the hierarchy.
 func (m *Subsystem) Drained() bool {
-	if len(m.reqNet) > 0 || len(m.replyNet) > 0 {
+	if m.reqNet.Len() > 0 || m.replyNet.Len() > 0 {
 		return false
 	}
 	for _, p := range m.parts {
-		if len(p.input) > 0 || len(p.retry) > 0 || len(p.waiters) > 0 || !p.dram.Drained() {
+		if p.input.Len() > 0 || p.retry.Len() > 0 || p.waiters.Len() > 0 || !p.dram.Drained() {
 			return false
 		}
 	}
@@ -415,4 +411,21 @@ func (m *Subsystem) Drained() bool {
 		assert.Failf("mem: hierarchy drained with %d span(s) still open", m.Spans.Open())
 	}
 	return true
+}
+
+// checkInvariants verifies, at the end of every cycle under -tags
+// simassert, the bounds the hierarchy's queues keep by construction.
+func (m *Subsystem) checkInvariants() {
+	if m.reqNet.Len() > m.reqCap {
+		assert.Failf("mem: request network holds %d > capacity %d", m.reqNet.Len(), m.reqCap)
+	}
+	for i, p := range m.parts {
+		// Every L2 waiter line has exactly one MSHR: a read Miss
+		// allocates both, a MissMerged joins an existing line, writes
+		// never wait, and the DRAM fill frees both together.
+		if p.waiters.Len() != p.l2.MSHRInUse() {
+			assert.Failf("mem: partition %d has %d waiter lines but %d L2 MSHRs in use",
+				i, p.waiters.Len(), p.l2.MSHRInUse())
+		}
+	}
 }

@@ -329,3 +329,43 @@ func TestSpanStageSumEqualsEndToEnd(t *testing.T) {
 		t.Errorf("l1RT observed %d round trips, want %d", m.l1RT.Count(), total)
 	}
 }
+
+// TestCycleAllocatesNothingWhenSaturated pins the hot-path allocation
+// contract on the whole hierarchy. A closed loop keeps 4096 reads in
+// flight, so every queue stays bounded while the DRAM scheduling queues
+// fill and park misses on the retry queue. Consecutive reads share a
+// line, so L2 misses, merges and MSHR reservation failures all occur.
+// Once warm, Submit + Cycle allocate nothing: the networks and partition
+// queues are rings at their working size, the waiter table recycles its
+// slots, and the reply slice is a reused buffer.
+func TestCycleAllocatesNothingWhenSaturated(t *testing.T) {
+	cfg := config.Baseline()
+	m := New(cfg)
+	const outstanding = 4096
+	var now int64
+	var seq uint64
+	pending := 0
+	step := func() {
+		for pending < outstanding && m.CanAccept() {
+			m.Submit(memreq.Request{
+				LineAddr: (seq / 2) * uint64(cfg.L2.LineBytes), SM: int(seq % 16), Kernel: int(seq % 2), Issued: now,
+			}, now)
+			seq++
+			pending++
+		}
+		pending -= len(m.Cycle(now, nil))
+		now++
+	}
+	for now < 4096 {
+		step()
+	}
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Fatalf("Submit+Cycle allocates %v times per cycle when saturated, want 0", n)
+	}
+	if m.retryWait.Count() == 0 {
+		t.Fatal("trace never filled a DRAM scheduling queue")
+	}
+	if st := m.Stats(); st.L2.Merged == 0 || st.L2.ResFails == 0 {
+		t.Fatalf("trace misses L2 paths: merges %d, reservation fails %d", st.L2.Merged, st.L2.ResFails)
+	}
+}

@@ -64,12 +64,10 @@ func (s *SM) checkInvariants() {
 			s.ID, st.Cycles, used, s.usedRegs, s.usedShm, s.usedThreads, s.usedCTAs)
 	}
 
-	// The LD/ST line ring respects its configured bound and cursor range.
-	if s.memQLen < 0 || s.memQLen > s.memQCap {
-		assert.Failf("sm %d cycle %d: memQ overflow: %d > %d", s.ID, st.Cycles, s.memQLen, s.memQCap)
-	}
-	if s.memQHead < 0 || s.memQHead >= s.memQCap {
-		assert.Failf("sm %d cycle %d: memQ head %d outside ring of %d", s.ID, st.Cycles, s.memQHead, s.memQCap)
+	// The LD/ST line ring respects its bound and so never grew.
+	if s.memQ.Len() > memQCap || s.memQ.Cap() != memQCap {
+		assert.Failf("sm %d cycle %d: memQ holds %d in a ring of %d, bound %d",
+			s.ID, st.Cycles, s.memQ.Len(), s.memQ.Cap(), memQCap)
 	}
 
 	// Ready-set bookkeeping mirrors ground truth: the per-scheduler lists
@@ -123,12 +121,12 @@ func (s *SM) checkInvariants() {
 	}
 
 	// Every outstanding-load line has exactly one L1 MSHR entry (allocated
-	// on Miss, freed by the Fill in OnReply), so the waiters map and the
+	// on Miss, freed by the Fill in OnReply), so the waiter table and the
 	// MSHR population track each other cycle by cycle. classify leans on
-	// this: it treats len(waiters) as "distinct miss lines outstanding"
+	// this: it treats waiters.Len() as "distinct miss lines outstanding"
 	// when deciding whether all wake-ups are known.
-	if len(s.waiters) != s.l1.MSHRInUse() {
+	if s.waiters.Len() != s.l1.MSHRInUse() {
 		assert.Failf("sm %d cycle %d: waiters %d != L1 MSHRs in use %d",
-			s.ID, st.Cycles, len(s.waiters), s.l1.MSHRInUse())
+			s.ID, st.Cycles, s.waiters.Len(), s.l1.MSHRInUse())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"warpedslicer/internal/digest"
+	"warpedslicer/internal/queue"
 )
 
 // The SM digests as named sections so the divergence bisector can point
@@ -125,9 +126,9 @@ func (s *SM) digestExec(h *digest.Hasher) {
 	h.I64(s.sfuFreeAt)
 	h.I64(s.ldstFreeAt)
 
-	h.Int(s.memQLen)
-	for i := 0; i < s.memQLen; i++ {
-		op := &s.memQ[(s.memQHead+i)&(s.memQCap-1)]
+	h.Int(s.memQ.Len())
+	for i := 0; i < s.memQ.Len(); i++ {
+		op := s.memQ.At(i)
 		h.U64(op.addr)
 		h.Int(op.kernel)
 		h.Bool(op.write)
@@ -139,18 +140,24 @@ func (s *SM) digestExec(h *digest.Hasher) {
 	// times, while the reference rescan path never needs them — they are
 	// issue-path bookkeeping, not architectural events. Writebacks and
 	// tracker completions stay.
-	h.Int(len(s.ring))
-	for i := range s.ring {
-		evs := s.ring[i]
+	digestRing(h, &s.ring)
+	digestWaiters(h, s.waiters)
+}
+
+// digestRing walks the writeback ring slot by slot, each slot's events in
+// FIFO order, skipping pure wake-ups (see digestExec).
+func digestRing(h *digest.Hasher, r *wbRing) {
+	h.Int(ringSize)
+	for slot := range r.head {
 		n := 0
-		for j := range evs {
-			if !evs[j].wake {
+		for j := r.head[slot]; j != 0; j = r.nodes[j].next {
+			if !r.nodes[j].ev.wake {
 				n++
 			}
 		}
 		h.Int(n)
-		for j := range evs {
-			ev := &evs[j]
+		for j := r.head[slot]; j != 0; j = r.nodes[j].next {
+			ev := &r.nodes[j].ev
 			if ev.wake {
 				continue
 			}
@@ -159,16 +166,16 @@ func (s *SM) digestExec(h *digest.Hasher) {
 			digestTracker(h, ev.tracker)
 		}
 	}
+}
 
-	keys := make([]uint64, 0, len(s.waiters))
-	for la := range s.waiters {
-		keys = append(keys, la)
-	}
-	slices.Sort(keys)
-	h.Int(len(keys))
-	for _, la := range keys {
+// digestWaiters walks the outstanding miss lines in ascending order, each
+// line's trackers in arrival order.
+func digestWaiters(h *digest.Hasher, w *queue.Waiters[*loadTracker]) {
+	lines := w.SortedLines()
+	h.Int(len(lines))
+	for _, la := range lines {
 		h.U64(la)
-		ts := s.waiters[la]
+		ts := w.Get(la)
 		h.Int(len(ts))
 		for _, t := range ts {
 			digestTracker(h, t)

@@ -101,9 +101,9 @@ func (s *SM) classify(issued bool) CycleClass {
 		cl = ClassIssuing
 	case s.usedCTAs == 0:
 		cl = ClassIdle
-	case s.memQLen > 0:
+	case s.memQ.Len() > 0:
 		cl = ClassStallUnknown
-	case len(s.waiters) > 0 && s.sub.RepliesInFlight(s.ID) < len(s.waiters):
+	case s.waiters.Len() > 0 && s.sub.RepliesInFlight(s.ID) < s.waiters.Len():
 		cl = ClassStallUnknown
 	default:
 		cl = ClassStallKnown
@@ -125,27 +125,14 @@ func (s *SM) classify(issued bool) CycleClass {
 // for `now`. Every warp whose state changes is marked stale so its
 // scheduler re-classifies it before the next issue walk.
 func (s *SM) drainWritebacks(now int64) {
-	idx := now & s.ringMask
-	evs := s.ring[idx]
-	if len(evs) == 0 {
-		return
-	}
-	// The backing array is reused (evs[:0]); entries are overwritten by
-	// future appends at this index, so any resident refs it retains are
-	// transient — unlike the freeCTA compaction tail, which must be nil'd
-	// because it would otherwise live for the whole run.
-	s.ring[idx] = evs[:0]
-	for _, ev := range evs {
+	for i := s.ring.take(now & s.ringMask); i != 0; {
+		var ev wbEvent
+		ev, i = s.ring.pop(i)
 		switch {
 		case ev.wake:
 			s.markStale(ev.res)
 		case ev.tracker != nil:
-			ev.tracker.remaining--
-			if ev.tracker.remaining == 0 {
-				tr := ev.tracker
-				tr.res.w.Writeback(tr.reg, true)
-				s.markStale(tr.res)
-			}
+			s.lineDone(ev.tracker)
 		default:
 			ev.res.w.Writeback(ev.reg, false)
 			s.markStale(ev.res)
@@ -164,8 +151,7 @@ func (s *SM) schedule(now, lat int64, ev wbEvent) {
 	if lat < 1 {
 		lat = 1
 	}
-	idx := (now + lat) & s.ringMask
-	s.ring[idx] = append(s.ring[idx], ev)
+	s.ring.push((now+lat)&s.ringMask, ev)
 }
 
 // refresh re-classifies every stale resident of q: one Peek per warp that
@@ -412,7 +398,7 @@ func (s *SM) unitFree(in isa.Instr, now int64) bool {
 		if lines == 0 {
 			lines = 1
 		}
-		return s.ldstFreeAt <= now && s.memQLen+lines <= s.memQCap
+		return s.ldstFreeAt <= now && s.memQ.Len()+lines <= memQCap
 	case isa.LDS:
 		return s.ldstFreeAt <= now
 	default: // BAR, EXIT consume only the issue slot
@@ -486,13 +472,13 @@ func (s *SM) issue(r *resident, in isa.Instr, now int64) {
 		s.stats.LDSTBusy += uint64(occ)
 		var tr *loadTracker
 		if isLoad {
-			tr = &loadTracker{res: r, reg: in.Dest, remaining: lines}
+			tr = s.newTracker(r, in.Dest, lines)
 			s.stats.PerKernel[k].LoadsIssued++
 		}
 		lineBytes := uint64(s.cfg.L1.LineBytes)
 		base := in.Addr &^ (lineBytes - 1)
 		for i := 0; i < lines; i++ {
-			s.memQPush(lineOp{
+			s.memQ.Push(lineOp{
 				addr:    base + uint64(i)*lineBytes,
 				kernel:  r.w.Kernel,
 				write:   !isLoad,
@@ -547,28 +533,49 @@ func (s *SM) retireWarp(r *resident) {
 	}
 }
 
-// memQPush appends one line transaction to the LD/ST ring. unitFree
-// guarantees space before the issuing instruction enqueues.
-func (s *SM) memQPush(op lineOp) {
-	s.memQ[(s.memQHead+s.memQLen)&(s.memQCap-1)] = op
-	s.memQLen++
+// newTracker returns a tracker for a load of lines lines into r's reg,
+// reusing a recycled one when the pool has any.
+func (s *SM) newTracker(r *resident, reg int8, lines int) *loadTracker {
+	var tr *loadTracker
+	if n := len(s.freeTrackers); n > 0 {
+		tr = s.freeTrackers[n-1]
+		s.freeTrackers[n-1] = nil
+		s.freeTrackers = s.freeTrackers[:n-1]
+	} else {
+		tr = new(loadTracker)
+	}
+	*tr = loadTracker{res: r, reg: reg, remaining: lines}
+	return tr
 }
 
-// memQPop removes the head transaction, zeroing the slot so the ring does
-// not retain tracker references after the op completes.
-func (s *SM) memQPop() {
-	s.memQ[s.memQHead] = lineOp{}
-	s.memQHead = (s.memQHead + 1) & (s.memQCap - 1)
-	s.memQLen--
+// lineDone retires one line of tr's load. The last line writes the
+// register back, wakes the warp and recycles the tracker, poisoned with a
+// nil res so a stale reference trips the simassert check here (and
+// dereferences nil in the default build) instead of writing back into
+// whichever load reuses it.
+//
+//simlint:wakehook
+func (s *SM) lineDone(tr *loadTracker) {
+	if assert.Enabled && (tr.res == nil || tr.remaining <= 0) {
+		assert.Failf("sm %d: line completion on a recycled load tracker", s.ID)
+	}
+	tr.remaining--
+	if tr.remaining > 0 {
+		return
+	}
+	tr.res.w.Writeback(tr.reg, true)
+	s.markStale(tr.res)
+	*tr = loadTracker{}
+	s.freeTrackers = append(s.freeTrackers, tr)
 }
 
 // pumpMemQueue services the head of the LD/ST line queue: one L1 access
 // per cycle.
 func (s *SM) pumpMemQueue(now int64) {
-	if s.memQLen == 0 {
+	if s.memQ.Len() == 0 {
 		return
 	}
-	op := s.memQ[s.memQHead]
+	op := *s.memQ.At(0)
 	la := s.l1.LineAddr(op.addr)
 
 	if op.write {
@@ -578,7 +585,7 @@ func (s *SM) pumpMemQueue(now int64) {
 			return // interconnect saturated; retry next cycle
 		}
 		s.l1.Access(op.addr, true)
-		s.memQPop()
+		s.memQ.Pop()
 		return
 	}
 
@@ -591,7 +598,7 @@ func (s *SM) pumpMemQueue(now int64) {
 	switch s.l1.Access(op.addr, false) {
 	case cache.Hit:
 		s.schedule(now, int64(s.cfg.L1.HitLatency), wbEvent{tracker: op.tracker})
-		s.memQPop()
+		s.memQ.Pop()
 	case cache.Miss:
 		// The L1 miss (MSHR just allocated) is the span's root: sampling
 		// is decided here, purely from (line, cycle, kernel) identity.
@@ -599,11 +606,11 @@ func (s *SM) pumpMemQueue(now int64) {
 			LineAddr: la, SM: s.ID, Kernel: op.kernel, Issued: now,
 			Span: s.sub.Spans.Begin(la, s.ID, op.kernel, now),
 		}, now)
-		s.waiters[la] = append(s.waiters[la], op.tracker)
-		s.memQPop()
+		s.waiters.Add(la, op.tracker)
+		s.memQ.Pop()
 	case cache.MissMerged:
-		s.waiters[la] = append(s.waiters[la], op.tracker)
-		s.memQPop()
+		s.waiters.Add(la, op.tracker)
+		s.memQ.Pop()
 	case cache.ReservationFail:
 		// MSHRs exhausted: structural stall, retry next cycle.
 	}
@@ -612,16 +619,9 @@ func (s *SM) pumpMemQueue(now int64) {
 // OnReply delivers a returning global-load line to the SM.
 func (s *SM) OnReply(lineAddr uint64) {
 	s.l1.Fill(lineAddr)
-	trackers := s.waiters[lineAddr]
-	delete(s.waiters, lineAddr)
-	for _, tr := range trackers {
-		if tr == nil {
-			continue
-		}
-		tr.remaining--
-		if tr.remaining == 0 {
-			tr.res.w.Writeback(tr.reg, true)
-			s.markStale(tr.res)
+	for _, tr := range s.waiters.Take(lineAddr) {
+		if tr != nil {
+			s.lineDone(tr)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"warpedslicer/internal/isa"
 	"warpedslicer/internal/kernels"
 	"warpedslicer/internal/mem"
+	"warpedslicer/internal/queue"
 	"warpedslicer/internal/warp"
 )
 
@@ -72,6 +73,9 @@ type cta struct {
 }
 
 // loadTracker aggregates the per-line completions of one load instruction.
+// Trackers come from the SM's free list and return to it when remaining
+// reaches 0: by then every line op, ring event and waiter entry that
+// pointed at the tracker has been consumed, so no reference remains.
 type loadTracker struct {
 	res       *resident
 	reg       int8
@@ -297,17 +301,22 @@ type SM struct {
 	sfuFreeAt  int64
 	ldstFreeAt int64
 
-	// memQ is a fixed ring buffer of memQCap (power of two) line
-	// transactions: memQHead indexes the oldest, memQLen counts occupancy.
-	memQ     []lineOp
-	memQCap  int
-	memQHead int
-	memQLen  int
+	// memQ holds the LD/ST unit's line transactions, oldest first.
+	// unitFree admits an instruction only if all its lines fit in
+	// memQCap, so the ring never grows past its initial size.
+	memQ queue.Ring[lineOp]
 
-	ring     [][]wbEvent
+	ring     wbRing
 	ringMask int64 //simlint:nodigest -- config: derived from the fixed ringSize at construction
 
-	waiters map[uint64][]*loadTracker
+	// waiters maps each outstanding L1 miss line to the trackers of the
+	// loads waiting on it; a line holds one slot from its Miss until the
+	// fill in OnReply frees the slot for reuse.
+	waiters *queue.Waiters[*loadTracker]
+
+	// freeTrackers is the pool newTracker draws from and lineDone refills.
+	//simlint:nodigest -- allocation pool: recycled trackers carry no live state
+	freeTrackers []*loadTracker
 
 	launchStamp int64
 
@@ -318,6 +327,9 @@ type SM struct {
 	//simlint:nodigest -- control plumbing: dispatcher callback, not architectural state
 	OnCTAComplete func(smID, kernel, gridID int)
 }
+
+// memQCap is the LD/ST line-queue capacity (a power of two).
+const memQCap = 64
 
 // ringSize bounds how far ahead a writeback or wake-up may be scheduled.
 // New rejects configurations whose worst-case latency does not fit, so
@@ -343,14 +355,12 @@ func New(id int, cfg config.GPU, sub *mem.Subsystem) *SM {
 		l1:        cache.New(cfg.L1.SizeBytes, cfg.L1.LineBytes, cfg.L1.Assoc, cfg.L1.MSHRs),
 		sub:       sub,
 		aluFreeAt: make([]int64, cfg.SM.ALUUnits),
-		memQCap:   64,
-		ring:      make([][]wbEvent, ringSize),
+		memQ:      queue.NewRing[lineOp](memQCap),
 		ringMask:  ringSize - 1,
-		waiters:   make(map[uint64][]*loadTracker),
+		waiters:   queue.NewWaiters[*loadTracker](cfg.L1.MSHRs),
 		scheds:    make([]schedQ, cfg.SM.Schedulers),
 		ctas:      make([]*cta, cfg.SM.MaxCTAs),
 	}
-	s.memQ = make([]lineOp, s.memQCap)
 	for i := range s.quotas {
 		s.quotas[i] = Unlimited()
 	}
@@ -667,7 +677,7 @@ func (s *SM) freeCTA(slot int) {
 func (s *SM) L1MSHRInUse() int { return s.l1.MSHRInUse() }
 
 // MemQueueLen exposes the LD/ST line-queue depth (diagnostics).
-func (s *SM) MemQueueLen() int { return s.memQLen }
+func (s *SM) MemQueueLen() int { return s.memQ.Len() }
 
 // DebugWarpStates summarizes resident warps for diagnostics: counts by
 // (state, outstanding-loads>0) plus CTA slot occupancy.
@@ -693,5 +703,5 @@ func (s *SM) DebugWarpStates(now int64) string {
 		}
 	}
 	return fmt.Sprintf("warps=%d run=%d bar=%d done=%d loads=%d ctas=%d memQ=%d mshr=%d",
-		len(s.warps), running, barrier, done, withLoads, activeCTAs, s.memQLen, s.l1.MSHRInUse())
+		len(s.warps), running, barrier, done, withLoads, activeCTAs, s.memQ.Len(), s.l1.MSHRInUse())
 }

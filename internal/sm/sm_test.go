@@ -7,6 +7,7 @@ import (
 	"warpedslicer/internal/isa"
 	"warpedslicer/internal/kernels"
 	"warpedslicer/internal/mem"
+	"warpedslicer/internal/warp"
 )
 
 func newSM(t *testing.T) (*SM, config.GPU) {
@@ -489,21 +490,21 @@ func TestHaltKernelWithInFlightMemory(t *testing.T) {
 	}
 
 	checkWaiters := func(now int64) {
-		if len(s.waiters) != s.l1.MSHRInUse() {
-			t.Fatalf("cycle %d: waiters %d != L1 MSHRs in use %d", now, len(s.waiters), s.l1.MSHRInUse())
+		if s.waiters.Len() != s.l1.MSHRInUse() {
+			t.Fatalf("cycle %d: waiters %d != L1 MSHRs in use %d", now, s.waiters.Len(), s.l1.MSHRInUse())
 		}
 	}
 
 	// Run until the memory kernel has loads in flight.
 	now := int64(0)
-	for ; now < 20000 && len(s.waiters) == 0; now++ {
+	for ; now < 20000 && s.waiters.Len() == 0; now++ {
 		s.Cycle(now, nil)
 		for _, r := range sub.Tick(now) {
 			s.OnReply(r.LineAddr)
 		}
 		checkWaiters(now)
 	}
-	if len(s.waiters) == 0 {
+	if s.waiters.Len() == 0 {
 		t.Fatal("MVP never put a load in flight")
 	}
 
@@ -524,7 +525,7 @@ func TestHaltKernelWithInFlightMemory(t *testing.T) {
 			s.OnReply(r.LineAddr)
 		}
 		checkWaiters(now)
-		if len(s.waiters) == 0 {
+		if s.waiters.Len() == 0 {
 			sawDrain = true
 		}
 	}
@@ -538,5 +539,25 @@ func TestHaltKernelWithInFlightMemory(t *testing.T) {
 	if st.PerKernel[1].WarpInsts <= hotBefore.WarpInsts {
 		t.Fatalf("surviving kernel stopped issuing after the halt: %d -> %d warp insts",
 			hotBefore.WarpInsts, st.PerKernel[1].WarpInsts)
+	}
+}
+
+// TestLoadTrackerRecycledOnLastLine pins the tracker recycling rule: the
+// tracker of a load returns to the SM's pool when its last line completes,
+// poisoned (res nil), and the next load reuses it with fresh fields.
+func TestLoadTrackerRecycledOnLastLine(t *testing.T) {
+	s, _ := newSM(t)
+	r := &resident{w: &warp.Warp{}}
+	tr := s.newTracker(r, 3, 2)
+	s.lineDone(tr)
+	if len(s.freeTrackers) != 0 || tr.res != r || tr.remaining != 1 {
+		t.Fatalf("tracker recycled before its last line: %+v", *tr)
+	}
+	s.lineDone(tr)
+	if len(s.freeTrackers) != 1 || tr.res != nil || tr.remaining != 0 {
+		t.Fatalf("finished tracker not recycled poisoned: pool %d, %+v", len(s.freeTrackers), *tr)
+	}
+	if again := s.newTracker(r, 5, 4); again != tr || again.res != r || again.reg != 5 || again.remaining != 4 {
+		t.Fatalf("next load did not reuse the recycled tracker: %+v", *again)
 	}
 }

@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"warpedslicer/internal/config"
-	"warpedslicer/internal/core"
 	"warpedslicer/internal/digest"
 	"warpedslicer/internal/divergence"
 	"warpedslicer/internal/experiments"
@@ -61,7 +60,6 @@ import (
 	"warpedslicer/internal/obs"
 	"warpedslicer/internal/power"
 	"warpedslicer/internal/prof"
-	"warpedslicer/internal/trace"
 )
 
 func main() {
@@ -350,7 +348,7 @@ func run(name string, o experiments.Options, ws []experiments.Workload, withOrac
 		record("report", rep)
 		fmt.Print(rep.Format())
 	case "timeline":
-		runTimeline(o)
+		runTimeline(s)
 	case "divergence":
 		runDivergence(o)
 	case "all":
@@ -456,20 +454,8 @@ func report(d digest.Divergence, ok bool, label string) {
 }
 
 // runTimeline traces a Warped-Slicer co-run window by window.
-func runTimeline(o experiments.Options) {
-	specs := parseKernels(tlKernelsVal)
-	ctrl := core.NewController()
-	ctrl.WarmupCycles = o.Warmup
-	ctrl.SampleCycles = o.Sample
-	ctrl.Log = o.Events
-	g := gpu.New(o.Cfg, ctrl)
-	o.Instrument(g)
-	for _, spec := range specs {
-		g.AddKernel(spec, 0)
-	}
-	tl := trace.New(tlWindowVal)
-	tl.Events = o.Events
-	tl.Run(g, tlCyclesVal)
+func runTimeline(s *experiments.Session) {
+	tl, r := s.Timeline(parseKernels(tlKernelsVal), tlWindowVal, tlCyclesVal)
 
 	out := os.Stdout
 	if tlCSVVal != "" {
@@ -493,10 +479,10 @@ func runTimeline(o experiments.Options) {
 			fatal(err)
 		}
 	}
-	if ctrl.Decided() && !ctrl.ChoseSpatial {
-		fmt.Fprintf(os.Stderr, "# partition: %v\n", ctrl.Partition)
+	if len(r.Partition) > 0 {
+		fmt.Fprintf(os.Stderr, "# partition: %v\n", r.Partition)
 	}
-	if rep, ok := o.Events.First(obs.EvRepartition); ok {
+	if rep, ok := s.O.Events.First(obs.EvRepartition); ok {
 		fmt.Fprintf(os.Stderr, "# repartition landed at cycle %d\n", rep.Cycle)
 	}
 }

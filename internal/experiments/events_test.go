@@ -97,7 +97,6 @@ func TestSessionEventsRunScoped(t *testing.T) {
 func TestSessionHubPublishesSnapshots(t *testing.T) {
 	o := Quick()
 	o.Hub = obs.NewHub(nil)
-	o.PublishEvery = 1024
 	s := NewSession(o)
 
 	s.Isolation(kernels.ByAbbr("IMG"))

@@ -27,6 +27,7 @@ import (
 	"warpedslicer/internal/runlog"
 	"warpedslicer/internal/sm"
 	"warpedslicer/internal/span"
+	"warpedslicer/internal/trace"
 )
 
 // Options parameterizes a Session.
@@ -54,20 +55,17 @@ type Options struct {
 	// curves, water-filling partitions) and kernel lifecycle events.
 	Events *obs.EventLog
 	// Hub, when non-nil, receives live registry snapshots every
-	// PublishEvery cycles from each running simulation, for serving over
+	// monitorEvery cycles from each running simulation, for serving over
 	// obs.StartServer.
 	Hub *obs.Hub
 	// Ledger, when non-nil, receives one content-addressed RunRecord per
-	// completed run (isolation references, co-runs, fixed windows, digest
-	// and engine-profile runs): headline metrics plus a windowed counter
-	// series recorded on the Monitor cadence. Identical inputs dedupe to
-	// one entry; records are byte-identical at any Parallelism. When
-	// DigestEvery is also set, each run's digest trail is stored next to
-	// its record for `wslicer runs diff` bisection.
+	// completed run (isolation references, co-runs, fixed windows, digest,
+	// engine-profile, Figure 5 and timeline runs): headline metrics plus a
+	// windowed counter series recorded on the Monitor cadence. Identical
+	// inputs dedupe to one entry; records are byte-identical at any
+	// Parallelism. When DigestEvery is also set, each run's digest trail is
+	// stored next to its record for `wslicer runs diff` bisection.
 	Ledger *runlog.Ledger
-	// PublishEvery is the snapshot publication period in cycles when Hub
-	// is set (default 2048).
-	PublishEvery int64
 	// Parallelism sizes the worker pool that fans independent simulations
 	// (isolation references, the oracle search, the figure sweeps) across
 	// cores. 0 means GOMAXPROCS; 1 forces serial execution. Results are
@@ -109,8 +107,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("experiments: AlgDelay = %d, must be non-negative", o.AlgDelay)
 	case o.OracleTargetFrac <= 0 || o.OracleTargetFrac > 1:
 		return fmt.Errorf("experiments: OracleTargetFrac = %g, must be in (0, 1]", o.OracleTargetFrac)
-	case o.PublishEvery < 0:
-		return fmt.Errorf("experiments: PublishEvery = %d, must be non-negative", o.PublishEvery)
 	case o.Parallelism < 0:
 		return fmt.Errorf("experiments: Parallelism = %d, must be non-negative", o.Parallelism)
 	case o.ProfPeriod < 0:
@@ -151,6 +147,10 @@ func Quick() Options {
 	return o
 }
 
+// monitorEvery is the cycle period at which an instrumented GPU publishes
+// registry snapshots to the Hub and the ledger's series recorder.
+const monitorEvery = 2048
+
 // Instrument attaches the session's observability sinks to a freshly built
 // GPU: the event log for kernel lifecycle events, and — when a Hub or
 // Ledger is set — a registry sampled on a fixed cycle period. With none
@@ -183,10 +183,7 @@ func (o Options) instrument(g *gpu.GPU, log *obs.EventLog) *runlog.Recorder {
 	reg := obs.NewRegistry()
 	g.Register(reg)
 	g.ObsSnapshot = func() any { return reg.Snapshot() }
-	g.MonitorEvery = o.PublishEvery
-	if g.MonitorEvery <= 0 {
-		g.MonitorEvery = 2048
-	}
+	g.MonitorEvery = monitorEvery
 	var rec *runlog.Recorder
 	if o.Ledger != nil {
 		rec = runlog.NewRecorder(runlog.DefaultSeries(), runlog.DefaultMaxPoints)
@@ -271,36 +268,13 @@ func (s *Session) Isolation(spec *kernels.Spec) Isolation {
 		s.iso[spec.Abbr] = e
 	}
 	s.mu.Unlock()
-	e.once.Do(func() { e.res = s.runIsolation(spec) })
-	return e.res
-}
-
-// runIsolation executes the single-kernel reference simulation.
-func (s *Session) runIsolation(spec *kernels.Spec) Isolation {
-	log := s.O.Events.WithRun("iso/" + spec.Abbr)
-	wall0, cpu0 := s.O.ledgerStart()
-	g := gpu.New(s.O.Cfg, greedyFill{})
-	g.SetSchedulers(s.O.Sched)
-	rec := s.O.instrument(g, log)
-	g.AddKernel(spec, 0)
-	g.RunCycles(s.O.IsolationCycles)
-	r := Isolation{
-		Spec:   spec,
-		Cycles: s.O.IsolationCycles,
-		Insts:  g.KernelInsts(0),
-		SM:     g.AggregateSM(),
-		Mem:    g.Mem.Stats(),
-		Spans:  g.Mem.Spans.Totals(),
-	}
-	r.IPC = metrics.IPC(r.Insts, r.Cycles)
-	log.Emit(g.Now(), obs.EvIsolationDone, map[string]any{
-		"kernel": spec.Abbr, "insts": r.Insts, "ipc": r.IPC,
+	e.once.Do(func() {
+		r, _ := s.simulate(run{kind: "iso", scope: "iso/" + spec.Abbr, policy: "greedy",
+			specs: []*kernels.Spec{spec}, window: s.O.IsolationCycles})
+		e.res = Isolation{Spec: spec, Cycles: r.Cycles, Insts: r.Insts[0], IPC: r.IPC,
+			SM: r.SM, Mem: r.Mem, Spans: r.Spans}
 	})
-	s.recordRun(runMeta{
-		kind: "iso", policy: "greedy", specs: []*kernels.Spec{spec},
-		cycles: r.Cycles, ipc: r.IPC, perKernelIPC: []float64{r.IPC},
-	}, g, rec, wall0, cpu0)
-	return r
+	return e.res
 }
 
 // CoRun is the result of one multiprogrammed run.
@@ -333,6 +307,8 @@ type CoRun struct {
 // run-scoped event log a dynamic controller writes its decision trail to.
 func (s *Session) dispatcher(name string, ctas []int, log *obs.EventLog) gpu.Dispatcher {
 	switch name {
+	case "greedy":
+		return greedyFill{}
 	case "leftover":
 		return policy.LeftOver{}
 	case "fcfs":
@@ -382,65 +358,122 @@ func runScope(kind, policy string, ctas []int, specs []*kernels.Spec) string {
 	return b.String()
 }
 
-// CoRunTargets runs specs under the named policy with explicit instruction
-// targets.
-func (s *Session) CoRunTargets(specs []*kernels.Spec, name string, ctas []int, targets []uint64) CoRun {
-	return s.coRunTargets("corun", specs, name, ctas, targets)
+// run is one simulation for simulate: its identity and how it is driven.
+// The mode is drive when drive is set, to targets when targets is
+// non-nil (bounded by MaxCoRunCycles), and a fixed window of `window`
+// cycles otherwise.
+type run struct {
+	// kind names the run in the ledger ("iso", "corun", "oracle", ...).
+	kind string
+	// scope is the event-log run scope; empty selects
+	// runScope(kind, policy, ctas, specs).
+	scope   string
+	policy  string
+	ctas    []int
+	specs   []*kernels.Spec
+	targets []uint64
+	window  int64
+	drive   func(*gpu.GPU)
+	// trail, when positive, records the run's full digest trail into
+	// g.Digests at that period.
+	trail int64
 }
 
-func (s *Session) coRunTargets(kind string, specs []*kernels.Spec, name string, ctas []int, targets []uint64) CoRun {
-	log := s.O.Events.WithRun(runScope(kind, name, ctas, specs))
-	wall0, cpu0 := s.O.ledgerStart()
-	d := s.dispatcher(name, ctas, log)
+// simulate is the harness's one run path. It builds and instruments the
+// GPU, runs it in r's mode, summarises it as a CoRun, emits the run's
+// summary event and records it in the ledger. Per-kernel IPC is taken
+// over each kernel's finish cycle when running to targets and over the
+// whole run otherwise. The GPU is returned for callers that read more
+// than a CoRun carries (the digest trail, the engine profile).
+func (s *Session) simulate(r run) (CoRun, *gpu.GPU) {
+	scope := r.scope
+	if scope == "" {
+		scope = runScope(r.kind, r.policy, r.ctas, r.specs)
+	}
+	log := s.O.Events.WithRun(scope)
+	wall0, cpu0 := s.O.Ledger.Now()
+	d := s.dispatcher(r.policy, r.ctas, log)
 	g := gpu.New(s.O.Cfg, d)
 	g.SetSchedulers(s.O.Sched)
 	rec := s.O.instrument(g, log)
-	for i, spec := range specs {
-		g.AddKernel(spec, targets[i])
+	for i, spec := range r.specs {
+		var target uint64
+		if r.targets != nil {
+			target = r.targets[i]
+		}
+		g.AddKernel(spec, target)
 	}
-	cycles := g.Run(s.O.MaxCoRunCycles)
+	if r.trail > 0 {
+		g.DigestEvery = r.trail
+		g.Digests = &digest.Trail{}
+	}
 
-	r := CoRun{
-		Specs:   specs,
-		Policy:  name,
+	cycles := r.window
+	switch {
+	case r.drive != nil:
+		r.drive(g)
+		cycles = g.Now()
+	case r.targets != nil:
+		cycles = g.Run(s.O.MaxCoRunCycles)
+	case cycles > 0:
+		g.RunCycles(cycles)
+	}
+
+	co := CoRun{
+		Specs:   r.specs,
+		Policy:  r.policy,
 		Cycles:  cycles,
-		Timeout: !g.AllDone(),
-		Targets: targets,
+		Timeout: r.targets != nil && !g.AllDone(),
+		Targets: r.targets,
 		SM:      g.AggregateSM(),
 		Mem:     g.Mem.Stats(),
 		Spans:   g.Mem.Spans.Totals(),
 	}
-	var totalInsts uint64
+	var total uint64
 	for _, k := range g.Kernels {
-		insts := g.KernelInsts(k.Slot)
-		fin := k.FinishCycle
-		if !k.Done {
-			fin = cycles
+		insts, fin := g.KernelInsts(k.Slot), cycles
+		if r.targets != nil && k.Done {
+			fin = k.FinishCycle
 		}
-		r.Insts = append(r.Insts, insts)
-		r.FinishCycles = append(r.FinishCycles, fin)
-		ipc := 0.0
-		if fin > 0 {
-			ipc = float64(insts) / float64(fin)
-		}
-		r.PerKernelIPC = append(r.PerKernelIPC, ipc)
-		totalInsts += insts
+		co.Insts = append(co.Insts, insts)
+		co.FinishCycles = append(co.FinishCycles, fin)
+		co.PerKernelIPC = append(co.PerKernelIPC, metrics.IPC(insts, fin))
+		total += insts
 	}
-	if cycles > 0 {
-		r.IPC = float64(totalInsts) / float64(cycles)
-	}
+	co.IPC = metrics.IPC(total, cycles)
 	if c, ok := d.(*core.Controller); ok {
-		r.Partition = c.Partition
-		r.ChoseSpatial = c.ChoseSpatial
+		co.Partition, co.ChoseSpatial = c.Partition, c.ChoseSpatial
 	}
-	log.Emit(cycles, obs.EvCoRunDone, map[string]any{
-		"policy": name, "workload": WorkloadName(specs),
-		"ipc": r.IPC, "cycles": cycles, "timeout": r.Timeout,
+
+	switch {
+	case r.kind == "iso":
+		log.Emit(cycles, obs.EvIsolationDone, map[string]any{
+			"kernel": r.specs[0].Abbr, "insts": co.Insts[0], "ipc": co.IPC,
+		})
+	case r.targets != nil:
+		log.Emit(cycles, obs.EvCoRunDone, map[string]any{
+			"policy": r.policy, "workload": WorkloadName(r.specs),
+			"ipc": co.IPC, "cycles": cycles, "timeout": co.Timeout,
+		})
+	}
+	s.recordRun(r, co, g, rec, wall0, cpu0)
+	return co, g
+}
+
+// isoTargets returns each kernel's isolation instruction count, the
+// paper's co-run targets, running the references across the worker pool.
+func (s *Session) isoTargets(specs []*kernels.Spec) []uint64 {
+	targets := make([]uint64, len(specs))
+	s.parallelFor(len(specs), func(i int) {
+		targets[i] = s.Isolation(specs[i]).Insts
 	})
-	s.recordRun(runMeta{
-		kind: kind, policy: name, ctas: ctas, specs: specs, targets: targets,
-		cycles: cycles, timeout: r.Timeout, ipc: r.IPC, perKernelIPC: r.PerKernelIPC,
-	}, g, rec, wall0, cpu0)
+	return targets
+}
+
+// CoRunTargets runs specs under the named policy with explicit instruction
+// targets.
+func (s *Session) CoRunTargets(specs []*kernels.Spec, name string, ctas []int, targets []uint64) CoRun {
+	r, _ := s.simulate(run{kind: "corun", policy: name, ctas: ctas, specs: specs, targets: targets})
 	return r
 }
 
@@ -449,45 +482,7 @@ func (s *Session) coRunTargets(kind string, specs []*kernels.Spec, name string, 
 // occupancy-curve measurement. Non-positive windows report zero IPC
 // rather than dividing by the cycle count.
 func (s *Session) RunFixedCycles(specs []*kernels.Spec, name string, ctas []int, cycles int64) CoRun {
-	log := s.O.Events.WithRun(runScope("window", name, ctas, specs))
-	wall0, cpu0 := s.O.ledgerStart()
-	d := s.dispatcher(name, ctas, log)
-	g := gpu.New(s.O.Cfg, d)
-	g.SetSchedulers(s.O.Sched)
-	rec := s.O.instrument(g, log)
-	for _, spec := range specs {
-		g.AddKernel(spec, 0)
-	}
-	if cycles > 0 {
-		g.RunCycles(cycles)
-	}
-	r := CoRun{
-		Specs:  specs,
-		Policy: name,
-		Cycles: cycles,
-		SM:     g.AggregateSM(),
-		Mem:    g.Mem.Stats(),
-		Spans:  g.Mem.Spans.Totals(),
-	}
-	var total uint64
-	for _, k := range g.Kernels {
-		insts := g.KernelInsts(k.Slot)
-		ipc := 0.0
-		if cycles > 0 {
-			ipc = float64(insts) / float64(cycles)
-		}
-		r.Insts = append(r.Insts, insts)
-		r.FinishCycles = append(r.FinishCycles, cycles)
-		r.PerKernelIPC = append(r.PerKernelIPC, ipc)
-		total += insts
-	}
-	if cycles > 0 {
-		r.IPC = float64(total) / float64(cycles)
-	}
-	s.recordRun(runMeta{
-		kind: "window", policy: name, ctas: ctas, specs: specs,
-		cycles: cycles, ipc: r.IPC, perKernelIPC: r.PerKernelIPC,
-	}, g, rec, wall0, cpu0)
+	r, _ := s.simulate(run{kind: "window", policy: name, ctas: ctas, specs: specs, window: cycles})
 	return r
 }
 
@@ -499,56 +494,31 @@ func (s *Session) RunFixedCycles(specs []*kernels.Spec, name string, ctas []int,
 // Options must produce byte-identical trails — the invariant the
 // first-divergence bisector (internal/divergence) checks.
 func (s *Session) DigestTrail(specs []*kernels.Spec, name string, ctas []int, every int64) *digest.Trail {
-	targets := make([]uint64, len(specs))
-	s.parallelFor(len(specs), func(i int) {
-		targets[i] = s.Isolation(specs[i]).Insts
-	})
-	log := s.O.Events.WithRun(runScope("digest", name, ctas, specs))
-	wall0, cpu0 := s.O.ledgerStart()
-	d := s.dispatcher(name, ctas, log)
-	g := gpu.New(s.O.Cfg, d)
-	g.SetSchedulers(s.O.Sched)
-	rec := s.O.instrument(g, log)
-	for i, spec := range specs {
-		g.AddKernel(spec, targets[i])
-	}
 	if every <= 0 {
 		every = gpu.DefaultDigestEvery
 	}
-	g.DigestEvery = every
-	g.Digests = &digest.Trail{}
-	g.Run(s.O.MaxCoRunCycles)
-	cycles := g.Now()
-	var total uint64
-	var perIPC []float64
-	for _, k := range g.Kernels {
-		insts := g.KernelInsts(k.Slot)
-		total += insts
-		ipc := 0.0
-		if cycles > 0 {
-			ipc = float64(insts) / float64(cycles)
-		}
-		perIPC = append(perIPC, ipc)
-	}
-	ipc := 0.0
-	if cycles > 0 {
-		ipc = float64(total) / float64(cycles)
-	}
-	s.recordRun(runMeta{
-		kind: "digest", policy: name, ctas: ctas, specs: specs, targets: targets,
-		cycles: cycles, ipc: ipc, perKernelIPC: perIPC,
-	}, g, rec, wall0, cpu0)
+	_, g := s.simulate(run{kind: "digest", policy: name, ctas: ctas, specs: specs,
+		targets: s.isoTargets(specs), trail: every})
 	return g.Digests
+}
+
+// Timeline traces a Warped-Slicer co-run of specs window by window for
+// `cycles` cycles (or until every kernel's grid finishes). The timeline's
+// event log is the run's own scoped view, so its controller events and
+// repartition cycle come from this run alone.
+func (s *Session) Timeline(specs []*kernels.Spec, window, cycles int64) (*trace.Timeline, CoRun) {
+	tl := trace.New(window)
+	r, _ := s.simulate(run{kind: "timeline", policy: "dynamic", specs: specs, drive: func(g *gpu.GPU) {
+		tl.Events = g.Log
+		tl.Run(g, cycles)
+	}})
+	return tl, r
 }
 
 // CoRun runs specs under the named policy using isolation-derived targets
 // (the paper's methodology).
 func (s *Session) CoRun(specs []*kernels.Spec, name string) CoRun {
-	targets := make([]uint64, len(specs))
-	s.parallelFor(len(specs), func(i int) {
-		targets[i] = s.Isolation(specs[i]).Insts
-	})
-	return s.CoRunTargets(specs, name, nil, targets)
+	return s.CoRunTargets(specs, name, nil, s.isoTargets(specs))
 }
 
 // Oracle exhaustively searches intra-SM CTA partitions (plus spatial
@@ -561,27 +531,22 @@ func (s *Session) CoRun(specs []*kernels.Spec, name string) CoRun {
 // downstream consumers can tell "oracle chose spatial" from "partition
 // missing".
 func (s *Session) Oracle(specs []*kernels.Spec) CoRun {
-	targets := make([]uint64, len(specs))
+	targets := s.isoTargets(specs)
 	scaled := make([]uint64, len(specs))
-	s.parallelFor(len(specs), func(i int) {
-		iso := s.Isolation(specs[i])
-		targets[i] = iso.Insts
-		scaled[i] = uint64(float64(iso.Insts) * s.O.OracleTargetFrac)
-		if scaled[i] == 0 {
-			scaled[i] = 1
-		}
-	})
+	for i, t := range targets {
+		scaled[i] = max(1, uint64(float64(t)*s.O.OracleTargetFrac))
+	}
 
 	// Spatial is part of the oracle's search space: it rides the pool as
 	// the entry after the last CTA combination.
 	combos := s.feasibleCombos(specs)
 	results := make([]CoRun, len(combos)+1)
 	s.parallelFor(len(results), func(i int) {
+		r := run{kind: "oracle", policy: "spatial", specs: specs, targets: scaled}
 		if i < len(combos) {
-			results[i] = s.coRunTargets("oracle", specs, "fixed", combos[i], scaled)
-		} else {
-			results[i] = s.coRunTargets("oracle", specs, "spatial", nil, scaled)
+			r.policy, r.ctas = "fixed", combos[i]
 		}
+		results[i], _ = s.simulate(r)
 	})
 
 	best := CoRun{}
@@ -591,17 +556,17 @@ func (s *Session) Oracle(specs []*kernels.Spec) CoRun {
 			best, bestCombo = results[i], combo
 		}
 	}
+	final := run{kind: "oracle-final", policy: "fixed", ctas: bestCombo, specs: specs, targets: targets}
 	sp := results[len(combos)]
-	if bestCombo == nil || sp.IPC > best.IPC {
-		final := s.coRunTargets("oracle-final", specs, "spatial", nil, targets)
-		final.Policy = "oracle"
-		final.ChoseSpatial = true
-		return final
+	spatial := bestCombo == nil || sp.IPC > best.IPC
+	if spatial {
+		final.policy, final.ctas = "spatial", nil
 	}
-	final := s.coRunTargets("oracle-final", specs, "fixed", bestCombo, targets)
-	final.Policy = "oracle"
-	final.Partition = bestCombo
-	return final
+	r, _ := s.simulate(final)
+	r.Policy = "oracle"
+	r.ChoseSpatial = spatial
+	r.Partition = final.ctas
+	return r
 }
 
 // feasibleCombos enumerates CTA assignments (>= 1 each) that fit the SM.

@@ -6,9 +6,7 @@ import (
 	"io"
 	"strings"
 
-	"warpedslicer/internal/gpu"
 	"warpedslicer/internal/kernels"
-	"warpedslicer/internal/policy"
 	"warpedslicer/internal/prof"
 )
 
@@ -74,67 +72,34 @@ func EngineProfWorkloads(ws []Workload) []Workload {
 func FigEngineProf(s *Session, ws []Workload) []EngineProfRow {
 	rows := make([]EngineProfRow, len(ws))
 	s.parallelFor(len(ws), func(i int) {
-		rows[i] = s.engineProfWorkload(ws[i])
+		w := ws[i]
+		_, g := s.simulate(run{kind: "engineprof", scope: "engineprof/" + w.Name(), policy: "even",
+			specs: w.Specs, window: s.O.IsolationCycles})
+		p := g.Profile()
+		r := EngineProfRow{
+			Workload:        w.Name(),
+			Category:        w.Category,
+			Kernels:         len(w.Specs),
+			Cycles:          p.Cycles,
+			FFSkippableFrac: p.FFSkippableFrac,
+			SchedFastFrac:   p.SchedFastFrac,
+		}
+		if smCycles := float64(p.SMs) * float64(p.Cycles); smCycles > 0 {
+			r.IssuingFrac = float64(p.CycIssuing) / smCycles
+			r.StallKnownFrac = float64(p.CycStallKnown) / smCycles
+			r.StallUnknownFrac = float64(p.CycStallUnknown) / smCycles
+			r.IdleFrac = float64(p.CycIdle) / smCycles
+		}
+		if p.Phases != nil {
+			r.NsPerCycle = p.Phases.NsPerCycle
+			for ph, pc := range p.Phases.Phases {
+				r.PhaseNsPerCycle[ph] = pc.NsPerCycle
+				r.PhaseShare[ph] = pc.Share
+			}
+		}
+		rows[i] = r
 	})
 	return rows
-}
-
-func (s *Session) engineProfWorkload(w Workload) EngineProfRow {
-	name := w.Name()
-	log := s.O.Events.WithRun("engineprof/" + name)
-	wall0, cpu0 := s.O.ledgerStart()
-	g := gpu.New(s.O.Cfg, policy.Even{})
-	g.SetSchedulers(s.O.Sched)
-	rec := s.O.instrument(g, log)
-	for _, spec := range w.Specs {
-		g.AddKernel(spec, 0)
-	}
-	g.RunCycles(s.O.IsolationCycles)
-
-	p := g.Profile()
-	r := EngineProfRow{
-		Workload: name,
-		Category: w.Category,
-		Kernels:  len(w.Specs),
-		Cycles:   p.Cycles,
-	}
-	if smCycles := float64(p.SMs) * float64(p.Cycles); smCycles > 0 {
-		r.IssuingFrac = float64(p.CycIssuing) / smCycles
-		r.StallKnownFrac = float64(p.CycStallKnown) / smCycles
-		r.StallUnknownFrac = float64(p.CycStallUnknown) / smCycles
-		r.IdleFrac = float64(p.CycIdle) / smCycles
-	}
-	r.FFSkippableFrac = p.FFSkippableFrac
-	r.SchedFastFrac = p.SchedFastFrac
-	if p.Phases != nil {
-		r.NsPerCycle = p.Phases.NsPerCycle
-		for i, pc := range p.Phases.Phases {
-			r.PhaseNsPerCycle[i] = pc.NsPerCycle
-			r.PhaseShare[i] = pc.Share
-		}
-	}
-
-	cycles := p.Cycles
-	var total uint64
-	var perIPC []float64
-	for _, k := range g.Kernels {
-		insts := g.KernelInsts(k.Slot)
-		total += insts
-		ipc := 0.0
-		if cycles > 0 {
-			ipc = float64(insts) / float64(cycles)
-		}
-		perIPC = append(perIPC, ipc)
-	}
-	ipc := 0.0
-	if cycles > 0 {
-		ipc = float64(total) / float64(cycles)
-	}
-	s.recordRun(runMeta{
-		kind: "engineprof", policy: "even", specs: w.Specs,
-		cycles: cycles, ipc: ipc, perKernelIPC: perIPC,
-	}, g, rec, wall0, cpu0)
-	return r
 }
 
 // WriteEngineProfCSV exports the sweep. The four class-fraction columns

@@ -123,7 +123,6 @@ func TestEngineProfAllPhasesExercised(t *testing.T) {
 	o.ProfPeriod = 7
 	o.DigestEvery = 512
 	o.Hub = obs.NewHub(nil)
-	o.PublishEvery = 512
 
 	g := gpu.New(o.Cfg, policy.Even{})
 	g.SetSchedulers(o.Sched)

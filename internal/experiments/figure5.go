@@ -41,26 +41,22 @@ func Figure5(s *Session, windows int) []Figure5Row {
 	// them across the worker pool and collect rows by index.
 	s.parallelFor(len(suite), func(idx int) {
 		spec := suite[idx]
-		g := gpu.New(s.O.Cfg, greedyFill{})
-		g.SetSchedulers(s.O.Sched)
-		g.AddKernel(spec, 0)
-
 		row := Figure5Row{Abbr: spec.Abbr, WindowCycles: win}
-		var prevInsts, prevMem, prevSlots uint64
-		// Discard the cold-start window so the comparison mirrors the
-		// controller (which warms up before sampling).
-		g.RunCycles(s.O.Warmup)
-		a := g.AggregateSM()
-		prevInsts, prevMem, prevSlots = totalThreadInsts(a), a.StallMem, a.Slots
-
-		for w := 0; w < windows; w++ {
-			g.RunCycles(win)
-			a = g.AggregateSM()
-			insts, mem, slots := totalThreadInsts(a), a.StallMem, a.Slots
-			row.WindowIPC = append(row.WindowIPC, float64(insts-prevInsts)/float64(win))
-			row.WindowPhiMem = append(row.WindowPhiMem, metrics.Frac(mem-prevMem, slots-prevSlots))
-			prevInsts, prevMem, prevSlots = insts, mem, slots
-		}
+		s.simulate(run{kind: "fig5", policy: "greedy", specs: []*kernels.Spec{spec}, drive: func(g *gpu.GPU) {
+			// Discard the cold-start window so the comparison mirrors the
+			// controller (which warms up before sampling).
+			g.RunCycles(s.O.Warmup)
+			a := g.AggregateSM()
+			prevInsts, prevMem, prevSlots := totalThreadInsts(a), a.StallMem, a.Slots
+			for w := 0; w < windows; w++ {
+				g.RunCycles(win)
+				a = g.AggregateSM()
+				insts, mem, slots := totalThreadInsts(a), a.StallMem, a.Slots
+				row.WindowIPC = append(row.WindowIPC, float64(insts-prevInsts)/float64(win))
+				row.WindowPhiMem = append(row.WindowPhiMem, metrics.Frac(mem-prevMem, slots-prevSlots))
+				prevInsts, prevMem, prevSlots = insts, mem, slots
+			}
+		}})
 
 		rest := metrics.Mean(row.WindowIPC[1:])
 		if rest > 0 {

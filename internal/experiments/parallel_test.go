@@ -71,7 +71,6 @@ func TestOptionsValidate(t *testing.T) {
 		"AlgDelay=-1":        break1(func(o *Options) { o.AlgDelay = -1 }),
 		"OracleTargetFrac=0": break1(func(o *Options) { o.OracleTargetFrac = 0 }),
 		"OracleTargetFrac>1": break1(func(o *Options) { o.OracleTargetFrac = 1.5 }),
-		"PublishEvery=-1":    break1(func(o *Options) { o.PublishEvery = -1 }),
 		"Parallelism=-2":     break1(func(o *Options) { o.Parallelism = -2 }),
 		"ProfPeriod=-1":      break1(func(o *Options) { o.ProfPeriod = -1 }),
 		"DigestEvery=-1":     break1(func(o *Options) { o.DigestEvery = -1 }),

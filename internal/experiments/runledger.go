@@ -5,32 +5,8 @@ import (
 
 	"warpedslicer/internal/digest"
 	"warpedslicer/internal/gpu"
-	"warpedslicer/internal/kernels"
 	"warpedslicer/internal/runlog"
 )
-
-// runMeta is the identity and outcome a completed run hands to the
-// ledger path. Everything in it is deterministic.
-type runMeta struct {
-	kind    string
-	policy  string
-	ctas    []int
-	specs   []*kernels.Spec
-	targets []uint64
-	cycles  int64
-	timeout bool
-	ipc     float64
-	// perKernelIPC is indexed by kernel slot (nil for runs that report
-	// only the combined IPC).
-	perKernelIPC []float64
-}
-
-// ledgerStart samples the ledger's injected clocks before a run (zeros
-// when no ledger or no clocks are wired), so the journal can report the
-// run's wall/CPU cost without the sim side touching a clock.
-func (o Options) ledgerStart() (wallNs, cpuNs int64) {
-	return o.Ledger.Now()
-}
 
 // recordRun folds one completed simulation into the session's ledger —
 // content-addressed inputs, headline metrics (combined and per-kernel
@@ -38,8 +14,9 @@ func (o Options) ledgerStart() (wallNs, cpuNs int64) {
 // the windowed counter series, and the digest-trail summary — then
 // refreshes the Hub's /runs view. No-op without a ledger. Errors are
 // reported on the event log rather than failing the run: provenance is
-// a sink, not a dependency.
-func (s *Session) recordRun(m runMeta, g *gpu.GPU, rec *runlog.Recorder, wall0, cpu0 int64) {
+// a sink, not a dependency. wall0/cpu0 are the ledger clocks sampled
+// before the run.
+func (s *Session) recordRun(r run, co CoRun, g *gpu.GPU, rec *runlog.Recorder, wall0, cpu0 int64) {
 	led := s.O.Ledger
 	if led == nil {
 		return
@@ -47,11 +24,11 @@ func (s *Session) recordRun(m runMeta, g *gpu.GPU, rec *runlog.Recorder, wall0, 
 	in := runlog.Inputs{
 		Schema:        runlog.SchemaVersion,
 		DigestVersion: digest.Version,
-		Kind:          m.kind,
-		Workload:      WorkloadName(m.specs),
-		Policy:        m.policy,
-		CTAs:          m.ctas,
-		Targets:       m.targets,
+		Kind:          r.kind,
+		Workload:      WorkloadName(r.specs),
+		Policy:        r.policy,
+		CTAs:          r.ctas,
+		Targets:       r.targets,
 		Sched:         s.O.Sched.String(),
 		Windows: runlog.Windows{
 			Isolation:        s.O.IsolationCycles,
@@ -65,29 +42,29 @@ func (s *Session) recordRun(m runMeta, g *gpu.GPU, rec *runlog.Recorder, wall0, 
 		},
 		Config: s.O.Cfg,
 	}
-	for _, spec := range m.specs {
+	for _, spec := range r.specs {
 		in.Kernels = append(in.Kernels, spec.Abbr)
 	}
 
 	rr := &runlog.RunRecord{
 		Inputs:        in,
-		Cycles:        m.cycles,
-		Timeout:       m.timeout,
+		Cycles:        co.Cycles,
+		Timeout:       co.Timeout,
 		DigestChain:   g.DigestChain(),
 		DigestRecords: g.DigestRecords(),
-		Metrics:       runMetrics(m, g),
+		Metrics:       runMetrics(co, g),
 		Series:        rec.Series(),
 	}
 
 	wall1, cpu1 := led.Now()
 	added, err := led.Append(rr, wall1-wall0, cpu1-cpu0)
 	if err != nil {
-		s.O.Events.Emit(m.cycles, "runlog_error", map[string]any{"error": err.Error()})
+		s.O.Events.Emit(co.Cycles, "runlog_error", map[string]any{"error": err.Error()})
 		return
 	}
 	if added && g.Digests != nil {
 		if err := led.PutTrail(rr.Key, g.Digests); err != nil {
-			s.O.Events.Emit(m.cycles, "runlog_error", map[string]any{"error": err.Error()})
+			s.O.Events.Emit(co.Cycles, "runlog_error", map[string]any{"error": err.Error()})
 		}
 	}
 	if s.O.Hub != nil {
@@ -98,24 +75,19 @@ func (s *Session) recordRun(m runMeta, g *gpu.GPU, rec *runlog.Recorder, wall0, 
 // runMetrics assembles the headline metric list in a fixed order:
 // combined IPC, per-kernel IPC, the stall composition as fractions of
 // issue slots, and the engine opportunity meters.
-func runMetrics(m runMeta, g *gpu.GPU) []runlog.Metric {
-	out := []runlog.Metric{{Name: "ipc", Value: m.ipc}}
-	for i, v := range m.perKernelIPC {
-		abbr := ""
-		if i < len(m.specs) {
-			abbr = m.specs[i].Abbr
-		}
-		out = append(out, runlog.Metric{Name: fmt.Sprintf("ipc[%d:%s]", i, abbr), Value: v})
+func runMetrics(co CoRun, g *gpu.GPU) []runlog.Metric {
+	out := []runlog.Metric{{Name: "ipc", Value: co.IPC}}
+	for i, v := range co.PerKernelIPC {
+		out = append(out, runlog.Metric{Name: fmt.Sprintf("ipc[%d:%s]", i, co.Specs[i].Abbr), Value: v})
 	}
-	agg := g.AggregateSM()
-	if slots := float64(agg.Slots); slots > 0 {
+	if slots := float64(co.SM.Slots); slots > 0 {
 		out = append(out,
-			runlog.Metric{Name: "issued_frac", Value: float64(agg.Issued) / slots},
-			runlog.Metric{Name: "stall_mem_frac", Value: float64(agg.StallMem) / slots},
-			runlog.Metric{Name: "stall_raw_frac", Value: float64(agg.StallRAW) / slots},
-			runlog.Metric{Name: "stall_exec_frac", Value: float64(agg.StallExec) / slots},
-			runlog.Metric{Name: "stall_ibuf_frac", Value: float64(agg.StallIBuf) / slots},
-			runlog.Metric{Name: "stall_idle_frac", Value: float64(agg.StallIdle) / slots},
+			runlog.Metric{Name: "issued_frac", Value: float64(co.SM.Issued) / slots},
+			runlog.Metric{Name: "stall_mem_frac", Value: float64(co.SM.StallMem) / slots},
+			runlog.Metric{Name: "stall_raw_frac", Value: float64(co.SM.StallRAW) / slots},
+			runlog.Metric{Name: "stall_exec_frac", Value: float64(co.SM.StallExec) / slots},
+			runlog.Metric{Name: "stall_ibuf_frac", Value: float64(co.SM.StallIBuf) / slots},
+			runlog.Metric{Name: "stall_idle_frac", Value: float64(co.SM.StallIdle) / slots},
 		)
 	}
 	p := g.Profile()

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"warpedslicer/internal/kernels"
@@ -178,5 +180,84 @@ func TestLedgerPublishesRunsView(t *testing.T) {
 	}
 	if len(v.Runs) != 1 || v.Runs[0].Kind != "iso" {
 		t.Fatalf("published view: %+v", v)
+	}
+}
+
+// TestLedgerCoversEveryEntryPoint checks that every simulation entry
+// point records its runs: each appends exactly the expected records, by
+// kind, to a fresh ledger.
+func TestLedgerCoversEveryEntryPoint(t *testing.T) {
+	pair := []*kernels.Spec{kernels.ByAbbr("IMG"), kernels.ByAbbr("BLK")}
+	one := pair[:1]
+	combos := len(NewSession(Quick()).feasibleCombos(pair))
+	cases := []struct {
+		name string
+		run  func(s *Session)
+		want map[string]int
+	}{
+		{"Isolation", func(s *Session) { s.Isolation(one[0]) }, map[string]int{"iso": 1}},
+		{"CoRun", func(s *Session) { s.CoRun(pair, "even") }, map[string]int{"iso": 2, "corun": 1}},
+		{"RunFixedCycles", func(s *Session) { s.RunFixedCycles(pair, "even", nil, 4000) }, map[string]int{"window": 1}},
+		{"DigestTrail", func(s *Session) { s.DigestTrail(one, "even", nil, 0) }, map[string]int{"iso": 1, "digest": 1}},
+		{"Oracle", func(s *Session) { s.Oracle(pair) },
+			map[string]int{"iso": 2, "oracle": combos + 1, "oracle-final": 1}},
+		{"FigEngineProf", func(s *Session) { FigEngineProf(s, []Workload{{Specs: one, Category: "single"}}) },
+			map[string]int{"engineprof": 1}},
+		{"Figure5", func(s *Session) { Figure5(s, 2) }, map[string]int{"fig5": len(kernels.Suite())}},
+		{"Timeline", func(s *Session) { s.Timeline(pair, 1000, 4000) }, map[string]int{"timeline": 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, led := ledgerSession(t, 2)
+			c.run(s)
+			want := 0
+			for _, n := range c.want {
+				want += n
+			}
+			if v := led.View(); v.Appends != uint64(want) {
+				t.Errorf("appends = %d, want %d", v.Appends, want)
+			}
+			got := map[string]int{}
+			for _, e := range led.List() {
+				got[e.Kind]++
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("record kinds = %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestDigestRecordMatchesCoRunIPC checks that a digest run and the co-run
+// it mirrors record the same combined and per-kernel IPC: both take each
+// kernel's IPC over its own finish cycle.
+func TestDigestRecordMatchesCoRunIPC(t *testing.T) {
+	s, led := ledgerSession(t, 1)
+	specs := []*kernels.Spec{kernels.ByAbbr("IMG"), kernels.ByAbbr("BLK")}
+	s.CoRun(specs, "even")
+	s.DigestTrail(specs, "even", nil, 0)
+
+	recs := map[string]*runlog.RunRecord{}
+	for _, e := range led.List() {
+		rec, err := led.Get(e.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[e.Kind] = rec
+	}
+	co, dg := recs["corun"], recs["digest"]
+	if co == nil || dg == nil {
+		t.Fatalf("missing corun or digest record: %v", led.List())
+	}
+	names := []string{"ipc"}
+	for i, spec := range specs {
+		names = append(names, fmt.Sprintf("ipc[%d:%s]", i, spec.Abbr))
+	}
+	for _, name := range names {
+		want, ok1 := co.Metric(name)
+		got, ok2 := dg.Metric(name)
+		if !ok1 || !ok2 || got != want {
+			t.Errorf("%s: digest record %v (%v), co-run record %v (%v)", name, got, ok2, want, ok1)
+		}
 	}
 }

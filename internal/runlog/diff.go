@@ -17,11 +17,11 @@ type SeriesDiff struct {
 	// Index is the point index of the first difference; Name the first
 	// differing column at that point (empty for structural differences —
 	// see Kind: "cycle", "length", "names", "stride").
-	Index  int    `json:"index"`
-	Kind   string `json:"kind"`
-	Name   string `json:"name,omitempty"`
-	CycleA int64  `json:"cycle_a"`
-	CycleB int64  `json:"cycle_b"`
+	Index  int     `json:"index"`
+	Kind   string  `json:"kind"`
+	Name   string  `json:"name,omitempty"`
+	CycleA int64   `json:"cycle_a"`
+	CycleB int64   `json:"cycle_b"`
 	A      float64 `json:"a"`
 	B      float64 `json:"b"`
 }

@@ -174,16 +174,13 @@ func (t *Timeline) spanEvents() []chromeEvent {
 	return out
 }
 
-// controllerEvents renders the event log: every event as an instant, plus
+// controllerEvents renders the run's events: every event as an instant, plus
 // duration spans for each profiling episode (profile_start -> sample_start
 // is warm-up; sample_start -> decision is sampling + algorithm delay).
 func (t *Timeline) controllerEvents() []chromeEvent {
-	if t.Events == nil {
-		return nil
-	}
 	var out []chromeEvent
 	var warmupFrom, sampleFrom int64 = -1, -1
-	for _, ev := range t.Events.Events() {
+	for _, ev := range t.runEvents() {
 		out = append(out, chromeEvent{
 			Name: ev.Kind, Ph: "i", Ts: ev.Cycle, Pid: chromePidController, S: "p",
 			Args: ev.Data,

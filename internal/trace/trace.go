@@ -54,7 +54,9 @@ type Timeline struct {
 
 	// Events, when non-nil, is the run's structured event log. It is the
 	// primary source for RepartitionCycle and is rendered alongside the
-	// windowed counters by WriteChromeTrace.
+	// windowed counters by WriteChromeTrace. When it is a run-scoped view
+	// of a shared log (obs.EventLog.WithRun), only that run's events are
+	// read.
 	Events *obs.EventLog
 
 	kernels int
@@ -219,6 +221,15 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 	return nil
 }
 
+// runEvents returns the events of the timeline's own run: those emitted
+// under Events' run scope (nil without a log).
+func (t *Timeline) runEvents() []obs.Event {
+	if t.Events == nil {
+		return nil
+	}
+	return t.Events.FilterRun(t.Events.Run())
+}
+
 // RepartitionCycle returns the cycle the controller's repartition landed
 // for kernel `slot`, or -1 if none. With an attached event log the answer
 // is exact: the first repartition event that assigns the slot a non-zero
@@ -226,11 +237,12 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 // (the first window where the slot's resident CTA count changed after
 // being stable).
 func (t *Timeline) RepartitionCycle(slot int) int64 {
-	if t.Events != nil {
-		for _, ev := range t.Events.Filter(obs.EvRepartition) {
-			if slots, ok := ev.Ints("slots"); ok && slot >= 0 && slot < len(slots) && slots[slot] > 0 {
-				return ev.Cycle
-			}
+	for _, ev := range t.runEvents() {
+		if ev.Kind != obs.EvRepartition {
+			continue
+		}
+		if slots, ok := ev.Ints("slots"); ok && slot >= 0 && slot < len(slots) && slots[slot] > 0 {
+			return ev.Cycle
 		}
 	}
 	if len(t.Points) < 3 {

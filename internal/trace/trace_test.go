@@ -269,6 +269,39 @@ func TestRepartitionCycleFromEvents(t *testing.T) {
 	}
 }
 
+// TestTimelineReadsOnlyItsRunEvents checks that a timeline attached to a
+// run-scoped view of a shared log reads only that run's events, both for
+// RepartitionCycle and for the Chrome trace's controller track.
+func TestTimelineReadsOnlyItsRunEvents(t *testing.T) {
+	root := obs.NewEventLog()
+	a := root.WithRun("timeline/dynamic/IMG_BLK")
+	b := root.WithRun("timeline/dynamic/MM_BFS")
+	b.Emit(1500, obs.EvRepartition, map[string]any{"slots": []int{3, 4}})
+	a.Emit(2500, obs.EvRepartition, map[string]any{"slots": []int{5, 2}})
+	b.Emit(2600, obs.EvDecision, map[string]any{})
+
+	for _, c := range []struct {
+		log    *obs.EventLog
+		want   int64
+		events int
+	}{{a, 2500, 1}, {b, 1500, 2}} {
+		tl := New(1000)
+		tl.Events = c.log
+		for slot := 0; slot < 2; slot++ {
+			if got := tl.RepartitionCycle(slot); got != c.want {
+				t.Errorf("%s: RepartitionCycle(%d) = %d, want %d", c.log.Run(), slot, got, c.want)
+			}
+		}
+		evs := tl.controllerEvents()
+		if len(evs) != c.events {
+			t.Fatalf("%s: %d controller events, want %d: %+v", c.log.Run(), len(evs), c.events, evs)
+		}
+		if evs[0].Ts != c.want {
+			t.Errorf("%s: first controller event at %d, want its own repartition at %d", c.log.Run(), evs[0].Ts, c.want)
+		}
+	}
+}
+
 func TestRepartitionCycleDetection(t *testing.T) {
 	tl := New(1000)
 	tl.kernels = 1

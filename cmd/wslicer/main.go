@@ -5,7 +5,7 @@
 //
 //	wslicer [flags] <experiment>
 //
-// Experiments:
+// Experiments, in the order `all` runs them:
 //
 //	config   Table I    print the simulated GPU configuration
 //	table2   Table II   per-benchmark utilization (isolation runs)
@@ -16,21 +16,24 @@
 //	fig6     Figure 6   30 pairs x {Spatial,Even,Dynamic,Oracle} vs Left-Over
 //	table3   Table III  CTA partitions chosen by Warped-Slicer vs Even
 //	fig7     Figure 7   utilization, cache miss rates, stall breakdown
-//	fig7c    Figure 7c  per-benchmark stall breakdown, alone vs shared (CSV)
-//	figmemdecomp        sampled-span latency decomposition, alone vs shared (CSV)
-//	figengineprof       engine self-profile: phase costs x kernel mix + fast-forward meter (CSV)
+//	fig7c    Figure 7c  per-benchmark stall breakdown, alone vs shared
+//	figmemdecomp        sampled-span latency decomposition, alone vs shared
+//	figengineprof       engine self-profile: phase costs x kernel mix + fast-forward meter
 //	fig8     Figure 8   3-kernel workloads
 //	fig9     Figure 9   fairness (min speedup) and ANTT
 //	energy   §V-G       energy and dynamic power comparison
-//	fig10    Figure 10  sensitivity to profiling length/delay and scheduler
+//	fig10    Figure 10  sensitivity to profiling length/delay and scheduler (every third pair)
 //	bigsm    §V-H       large-SM configuration
 //	overhead §V-I       hardware overhead of the profiling logic
+//	report              paper-vs-measured claim comparison
+//
+// Other experiments (`all` skips timeline and divergence):
+//
 //	timeline            windowed per-kernel IPC/occupancy trace (CSV)
 //	divergence          first-divergence bisector: compare two recorded digest
 //	                    trails (-trail-a/-trail-b), record one (-record-trail),
 //	                    or self-check serial vs parallel sessions (default)
-//	report              paper-vs-measured claim comparison
-//	all                 everything above, in order
+//	all                 every experiment of the first list, in order
 //
 // Run ledger:
 //
@@ -46,6 +49,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,42 +66,67 @@ import (
 	"warpedslicer/internal/prof"
 )
 
+// flags holds the parsed command line.
+type flags struct {
+	isolation, sample, warmup int64
+	oracle                    bool
+	pairs                     int
+	verbose, quick            bool
+	jsonPath                  string
+	kernels                   string
+	window, cycles            int64
+	csvPath, csvDir           string
+	parallel                  int
+	metricsAddr               string
+	pprof                     bool
+	profPeriod                int64
+	chromeTrace, eventsPath   string
+	ledgerDir                 string
+	digestPeriod              int64
+	blackbox                  string
+	trailA, trailB            string
+	recordTrail, policy       string
+}
+
+func (f *flags) register(fs *flag.FlagSet) {
+	fs.Int64Var(&f.isolation, "isolation", 60_000, "isolation window in cycles (paper: 2M)")
+	fs.Int64Var(&f.sample, "sample", 5_000, "profiling sample window in cycles")
+	fs.Int64Var(&f.warmup, "warmup", 20_000, "warm-up before profiling in cycles")
+	fs.BoolVar(&f.oracle, "oracle", true, "include the exhaustive oracle in fig6")
+	fs.IntVar(&f.pairs, "pairs", 0, "limit number of pair workloads (0 = all 30)")
+	fs.BoolVar(&f.verbose, "v", false, "log each completed run")
+	fs.BoolVar(&f.quick, "quick", false, "use small windows (smoke test)")
+	fs.StringVar(&f.jsonPath, "json", "", "also write machine-readable results to this file")
+	fs.StringVar(&f.kernels, "kernels", "IMG,BLK", "timeline: comma-separated kernel abbreviations")
+	fs.Int64Var(&f.window, "window", 5000, "timeline: sampling window in cycles")
+	fs.Int64Var(&f.cycles, "cycles", 120_000, "timeline: total cycles to trace")
+	fs.StringVar(&f.csvPath, "csv", "", "timeline: CSV output path (default stdout)")
+	fs.StringVar(&f.csvDir, "csvdir", "", "also write table2.csv, fig3.csv, fig6.csv, figure7c.csv, figmemdecomp.csv and figengineprof.csv here")
+
+	fs.IntVar(&f.parallel, "parallel", 0, "worker pool size for independent simulations (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
+
+	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve live registry snapshots and the event log over HTTP (e.g. :8080)")
+	fs.BoolVar(&f.pprof, "pprof", false, "also mount net/http/pprof under /debug/pprof/ on the -metrics-addr mux")
+	fs.Int64Var(&f.profPeriod, "prof-period", 0, "engine self-profiler sampling period in cycles (0 = off; figengineprof defaults to 37)")
+	fs.StringVar(&f.chromeTrace, "chrometrace", "", "timeline: also write Chrome trace-event JSON here (chrome://tracing)")
+	fs.StringVar(&f.eventsPath, "events", "", "write the structured event log as JSONL to this file at exit")
+
+	fs.StringVar(&f.ledgerDir, "ledger", "", "record every completed run into this content-addressed ledger dir (also enables the `runs` subcommand)")
+
+	fs.Int64Var(&f.digestPeriod, "digest-period", 0, "state-digest recording period in cycles (0 = off; divergence defaults to 1024)")
+	fs.StringVar(&f.blackbox, "blackbox", "", "arm the flight recorder and dump a black-box JSON report here if a run panics (requires -digest-period)")
+	fs.StringVar(&f.trailA, "trail-a", "", "divergence: first recorded digest trail (JSONL) to compare")
+	fs.StringVar(&f.trailB, "trail-b", "", "divergence: second recorded digest trail (JSONL) to compare")
+	fs.StringVar(&f.recordTrail, "record-trail", "", "divergence: record this run's digest trail as JSONL here instead of comparing")
+	fs.StringVar(&f.policy, "policy", "even", "divergence: co-run policy for recorded/self-check trails")
+}
+
 func main() {
-	var (
-		isolation = flag.Int64("isolation", 60_000, "isolation window in cycles (paper: 2M)")
-		sample    = flag.Int64("sample", 5_000, "profiling sample window in cycles")
-		warmup    = flag.Int64("warmup", 20_000, "warm-up before profiling in cycles")
-		oracle    = flag.Bool("oracle", true, "include the exhaustive oracle in fig6")
-		pairs     = flag.Int("pairs", 0, "limit number of pair workloads (0 = all 30)")
-		verbose   = flag.Bool("v", false, "log each completed run")
-		quick     = flag.Bool("quick", false, "use small windows (smoke test)")
-		jsonPath  = flag.String("json", "", "also write machine-readable results to this file")
-		tlKernels = flag.String("kernels", "IMG,BLK", "timeline: comma-separated kernel abbreviations")
-		tlWindow  = flag.Int64("window", 5000, "timeline: sampling window in cycles")
-		tlCycles  = flag.Int64("cycles", 120_000, "timeline: total cycles to trace")
-		tlCSV     = flag.String("csv", "", "timeline: CSV output path (default stdout)")
-		csvDir    = flag.String("csvdir", "", "also write table2/fig3/fig6/fig7c/figmemdecomp results as CSV files here")
-
-		parallel = flag.Int("parallel", 0, "worker pool size for independent simulations (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve live registry snapshots and the event log over HTTP (e.g. :8080)")
-		pprofFlag   = flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on the -metrics-addr mux")
-		profPeriod  = flag.Int64("prof-period", 0, "engine self-profiler sampling period in cycles (0 = off; figengineprof defaults to 37)")
-		chromeTrace = flag.String("chrometrace", "", "timeline: also write Chrome trace-event JSON here (chrome://tracing)")
-		eventsPath  = flag.String("events", "", "write the structured event log as JSONL to this file at exit")
-
-		ledgerDir = flag.String("ledger", "", "record every completed run into this content-addressed ledger dir (also enables the `runs` subcommand)")
-
-		digestPeriod = flag.Int64("digest-period", 0, "state-digest recording period in cycles (0 = off; divergence defaults to 1024)")
-		blackbox     = flag.String("blackbox", "", "arm the flight recorder and dump a black-box JSON report here if a run panics (requires -digest-period)")
-		trailA       = flag.String("trail-a", "", "divergence: first recorded digest trail (JSONL) to compare")
-		trailB       = flag.String("trail-b", "", "divergence: second recorded digest trail (JSONL) to compare")
-		recordTrail  = flag.String("record-trail", "", "divergence: record this run's digest trail as JSONL here instead of comparing")
-		divPolicy    = flag.String("policy", "even", "divergence: co-run policy for recorded/self-check trails")
-	)
+	var f flags
+	f.register(flag.CommandLine)
 	flag.Parse()
 	if flag.Arg(0) == "runs" {
-		runRunsCmd(*ledgerDir, flag.Args()[1:])
+		runRunsCmd(f.ledgerDir, flag.Args()[1:])
 		return
 	}
 	if flag.NArg() != 1 {
@@ -106,74 +135,76 @@ func main() {
 	}
 
 	o := experiments.Defaults()
-	if *quick {
+	if f.quick {
 		o = experiments.Quick()
 	} else {
-		o.IsolationCycles = *isolation
-		o.Sample = *sample
-		o.Warmup = *warmup
+		o.IsolationCycles = f.isolation
+		o.Sample = f.sample
+		o.Warmup = f.warmup
 	}
-	o.Parallelism = *parallel
-	o.ProfPeriod = *profPeriod
-	o.DigestEvery = *digestPeriod
-	o.BlackBoxPath = *blackbox
+	o.Parallelism = f.parallel
+	o.ProfPeriod = f.profPeriod
+	o.DigestEvery = f.digestPeriod
+	o.BlackBoxPath = f.blackbox
 	if err := o.Validate(); err != nil {
 		fatal(err)
 	}
-	if *blackbox != "" && *digestPeriod <= 0 {
+	if f.blackbox != "" && f.digestPeriod <= 0 {
 		fatal(fmt.Errorf("-blackbox requires -digest-period > 0"))
 	}
-	if *pprofFlag && *metricsAddr == "" {
+	if f.pprof && f.metricsAddr == "" {
 		fatal(fmt.Errorf("-pprof requires -metrics-addr"))
 	}
 	// Every run keeps a structured event log; -v renders run summaries to
 	// stderr as they land, -events dumps the whole log, -metrics-addr
 	// serves it (plus live counter snapshots) over HTTP.
 	o.Events = obs.NewEventLog()
-	if *verbose {
+	if f.verbose {
 		o.Events.OnEvent = renderEvent
 	}
-	if *ledgerDir != "" {
-		o.Ledger = openLedger(*ledgerDir)
+	if f.ledgerDir != "" {
+		o.Ledger = openLedger(f.ledgerDir)
 	}
-	if *metricsAddr != "" {
+	if f.metricsAddr != "" {
 		o.Hub = obs.NewHub(o.Events)
 		var srvOpts []obs.ServerOption
-		if *pprofFlag {
+		if f.pprof {
 			srvOpts = append(srvOpts, obs.WithPprof())
 		}
-		srv, err := obs.StartServer(*metricsAddr, o.Hub, srvOpts...)
+		srv, err := obs.StartServer(f.metricsAddr, o.Hub, srvOpts...)
 		if err != nil {
 			fatal(err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "# metrics: http://%s/\n", srv.Addr())
 	}
-	chromeTraceVal = *chromeTrace
 
-	ws := experiments.Pairs()
-	if *pairs > 0 && *pairs < len(ws) {
-		ws = ws[:*pairs]
-	}
-
-	tlKernelsVal, tlWindowVal, tlCyclesVal, tlCSVVal = *tlKernels, *tlWindow, *tlCycles, *tlCSV
-	csvDirVal = *csvDir
-	trailAVal, trailBVal, recordTrailVal = *trailA, *trailB, *recordTrail
-	divPolicyVal, digestPeriodVal = *divPolicy, *digestPeriod
-
+	c := newCLI(f, o, os.Stdout)
 	start := time.Now()
-	results = map[string]any{}
-	run(flag.Arg(0), o, ws, *oracle)
+	var err error
+	switch name := flag.Arg(0); name {
+	case "timeline":
+		err = c.timeline()
+	case "divergence":
+		c.divergence()
+	case "all":
+		err = c.runExperiments(experimentNames())
+	default:
+		err = c.runExperiments([]string{name})
+	}
 	fmt.Fprintf(os.Stderr, "# elapsed: %v\n", time.Since(start).Round(time.Second))
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath); err != nil {
+	if f.jsonPath != "" {
+		if err := writeFile(f.jsonPath, c.writeJSON); err != nil {
 			fatal(err)
 		}
 	}
-	if *eventsPath != "" {
-		if err := writeEvents(*eventsPath, o.Events); err != nil {
+	if f.eventsPath != "" {
+		if err := writeFile(f.eventsPath, o.Events.WriteJSONL); err != nil {
 			fatal(err)
 		}
+	}
+	if err != nil {
+		fatal(err)
 	}
 }
 
@@ -191,181 +222,245 @@ func renderEvent(ev obs.Event) {
 	}
 }
 
-func writeEvents(path string, log *obs.EventLog) error {
+// writeFile creates path, fills it with write and reports the first error
+// of the write and the close, so a short write is never lost.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return log.WriteJSONL(f)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// results collects each experiment's typed rows for -json export.
-var results map[string]any
+// cli is one invocation: the parsed flags, the one session every
+// experiment shares, the shared sweeps and the results -json exports.
+type cli struct {
+	flags
+	o       experiments.Options
+	s       *experiments.Session
+	ws      []experiments.Workload
+	out     io.Writer
+	results map[string]any
 
-// csvDirVal, when set, receives CSV exports of the main result tables.
-var csvDirVal string
-
-func maybeCSV(name string, write func(w *os.File) error) {
-	if csvDirVal == "" {
-		return
-	}
-	f, err := os.Create(filepath.Join(csvDirVal, name))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		fatal(err)
-	}
+	pairRows, tripleRows []experiments.Figure6Row
+	pairsHaveOracle      bool
 }
 
-func record(key string, v any) { results[key] = v }
-
-func writeJSON(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+func newCLI(f flags, o experiments.Options, out io.Writer) *cli {
+	ws := experiments.Pairs()
+	if f.pairs > 0 && f.pairs < len(ws) {
+		ws = ws[:f.pairs]
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
+	return &cli{flags: f, o: o, s: experiments.NewSession(o), ws: ws, out: out, results: map[string]any{}}
+}
+
+// pairSweep returns the Figure 6 rows of the selected pairs, sweeping them
+// once per invocation. Rows swept with the oracle also serve requests
+// without it, so `all` sweeps once and a lone table3 runs no oracle.
+func (c *cli) pairSweep(oracle bool) []experiments.Figure6Row {
+	if c.pairRows == nil || oracle && !c.pairsHaveOracle {
+		c.pairRows = experiments.Figure6From(c.s, c.ws, oracle)
+		c.pairsHaveOracle = oracle
+	}
+	return c.pairRows
+}
+
+// tripleSweep returns the Figure 8 rows, sweeping them once per invocation.
+func (c *cli) tripleSweep() []experiments.Figure6Row {
+	if c.tripleRows == nil {
+		c.tripleRows = experiments.Figure8(c.s)
+	}
+	return c.tripleRows
+}
+
+// writeCSV writes name under -csvdir; without -csvdir it does nothing.
+func (c *cli) writeCSV(name string, write func(io.Writer) error) error {
+	if c.csvDir == "" {
+		return nil
+	}
+	return writeFile(filepath.Join(c.csvDir, name), write)
+}
+
+func (c *cli) writeJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(results)
+	return enc.Encode(c.results)
 }
 
-func run(name string, o experiments.Options, ws []experiments.Workload, withOracle bool) {
-	s := experiments.NewSession(o)
-	switch name {
-	case "config":
-		printConfig(o)
-	case "table2":
-		header("Table II: benchmark characteristics")
-		rows := experiments.Table2(s)
-		record("table2", rows)
-		maybeCSV("table2.csv", func(f *os.File) error { return experiments.WriteTable2CSV(f, rows) })
-		fmt.Print(experiments.FormatTable2(rows))
-	case "fig1":
-		header("Figure 1: stall-cycle breakdown (isolation)")
-		rows := experiments.Figure1(s)
-		record("figure1", rows)
-		fmt.Print(experiments.FormatFigure1(rows))
-	case "fig3":
-		header("Figure 3a: performance vs CTA occupancy")
-		curves := experiments.Figure3(s)
-		record("figure3", curves)
-		maybeCSV("fig3.csv", func(f *os.File) error { return experiments.WriteCurvesCSV(f, curves) })
-		fmt.Print(experiments.FormatFigure3(curves))
-	case "fig3b":
-		header("Figure 3b: sweet-spot identification (IMG + NN)")
-		ss, err := s.Figure3b(kernels.ByAbbr("IMG"), kernels.ByAbbr("NN"))
+// experiment is one section of the evaluation. run computes it, records
+// it for -json, prints it and writes its CSV under -csvdir.
+type experiment struct {
+	name, header string
+	run          func(c *cli, w io.Writer) error
+}
+
+// experimentTable is the evaluation in the order `all` runs it.
+var experimentTable = []experiment{
+	{"config", "Table I: baseline configuration", func(c *cli, w io.Writer) error {
+		printConfig(w, c.o)
+		return nil
+	}},
+	{"table2", "Table II: benchmark characteristics", func(c *cli, w io.Writer) error {
+		rows := experiments.Table2(c.s)
+		c.results["table2"] = rows
+		fmt.Fprint(w, experiments.FormatTable2(rows))
+		return c.writeCSV("table2.csv", func(f io.Writer) error { return experiments.WriteTable2CSV(f, rows) })
+	}},
+	{"fig1", "Figure 1: stall-cycle breakdown (isolation)", func(c *cli, w io.Writer) error {
+		rows := experiments.Figure1(c.s)
+		c.results["figure1"] = rows
+		fmt.Fprint(w, experiments.FormatFigure1(rows))
+		return nil
+	}},
+	{"fig3", "Figure 3a: performance vs CTA occupancy", func(c *cli, w io.Writer) error {
+		curves := experiments.Figure3(c.s)
+		c.results["figure3"] = curves
+		fmt.Fprint(w, experiments.FormatFigure3(curves))
+		return c.writeCSV("fig3.csv", func(f io.Writer) error { return experiments.WriteCurvesCSV(f, curves) })
+	}},
+	{"fig3b", "Figure 3b: sweet-spot identification (IMG + NN)", func(c *cli, w io.Writer) error {
+		ss, err := c.s.Figure3b(kernels.ByAbbr("IMG"), kernels.ByAbbr("NN"))
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(experiments.FormatSweetSpot(ss))
-	case "fig5":
-		header("Figure 5: 5K-cycle sampling window vs long-run behaviour")
-		fmt.Print(experiments.FormatFigure5(experiments.Figure5(s, 10)))
-	case "fig6":
-		header("Figure 6: multiprogrammed pairs, IPC normalized to Left-Over")
-		rows := experiments.Figure6From(s, ws, withOracle)
-		record("figure6", rows)
-		record("figure6_gmeans", experiments.SummarizeFigure6(rows))
-		maybeCSV("fig6.csv", func(f *os.File) error { return experiments.WriteFigure6CSV(f, rows) })
-		fmt.Print(experiments.FormatFigure6(rows))
-	case "table3":
-		header("Table III: CTA partitions (Warped-Slicer vs Even)")
-		rows := experiments.Figure6From(s, ws, false)
-		fmt.Print(experiments.FormatTable3(experiments.Table3(s, rows)))
-	case "fig7":
-		header("Figure 7: utilization / cache miss rates / stalls")
-		rows := experiments.Figure6From(s, ws, false)
-		a := experiments.Figure7aFrom(s, rows)
-		b := experiments.Figure7bFrom(rows)
-		c := experiments.Figure7cFrom(rows)
-		fmt.Print(experiments.FormatFigure7(a, b, c))
-	case "fig7c":
-		header("Figure 7c: per-benchmark stall breakdown (alone vs shared)")
-		rows := experiments.Figure6From(s, ws, false)
-		det := experiments.Figure7cDetail(s, rows)
-		record("figure7c", det)
-		maybeCSV("figure7c.csv", func(f *os.File) error { return experiments.WriteFigure7cCSV(f, det) })
-		if err := experiments.WriteFigure7cCSV(os.Stdout, det); err != nil {
-			fatal(err)
-		}
-	case "figmemdecomp":
-		header("Memory-interference decomposition: sampled span stages, alone vs shared")
-		rows := experiments.FigMemDecomp(s, ws)
-		record("figmemdecomp", rows)
-		maybeCSV("figmemdecomp.csv", func(f *os.File) error { return experiments.WriteMemDecompCSV(f, rows) })
-		if err := experiments.WriteMemDecompCSV(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case "figengineprof":
-		header("Engine self-profile: phase costs x kernel mix + fast-forward opportunity")
+		fmt.Fprint(w, experiments.FormatSweetSpot(ss))
+		return nil
+	}},
+	{"fig5", "Figure 5: 5K-cycle sampling window vs long-run behaviour", func(c *cli, w io.Writer) error {
+		fmt.Fprint(w, experiments.FormatFigure5(experiments.Figure5(c.s, 10)))
+		return nil
+	}},
+	{"fig6", "Figure 6: multiprogrammed pairs, IPC normalized to Left-Over", func(c *cli, w io.Writer) error {
+		rows := c.pairSweep(c.oracle)
+		c.results["figure6"] = rows
+		c.results["figure6_gmeans"] = experiments.SummarizeFigure6(rows)
+		fmt.Fprint(w, experiments.FormatFigure6(rows))
+		return c.writeCSV("fig6.csv", func(f io.Writer) error { return experiments.WriteFigure6CSV(f, rows) })
+	}},
+	{"table3", "Table III: CTA partitions (Warped-Slicer vs Even)", func(c *cli, w io.Writer) error {
+		fmt.Fprint(w, experiments.FormatTable3(experiments.Table3(c.s, c.pairSweep(false))))
+		return nil
+	}},
+	{"fig7", "Figure 7: utilization / cache miss rates / stalls", func(c *cli, w io.Writer) error {
+		rows := c.pairSweep(false)
+		fmt.Fprint(w, experiments.FormatFigure7(
+			experiments.Figure7aFrom(c.s, rows),
+			experiments.Figure7bFrom(rows),
+			experiments.Figure7cFrom(rows)))
+		return nil
+	}},
+	{"fig7c", "Figure 7c: per-benchmark stall breakdown (alone vs shared)", func(c *cli, w io.Writer) error {
+		det := experiments.Figure7cDetail(c.s, c.pairSweep(false))
+		c.results["figure7c"] = det
+		fmt.Fprint(w, experiments.FormatFigure7cDetail(det))
+		return c.writeCSV("figure7c.csv", func(f io.Writer) error { return experiments.WriteFigure7cCSV(f, det) })
+	}},
+	{"figmemdecomp", "Memory-interference decomposition: sampled span stages, alone vs shared", func(c *cli, w io.Writer) error {
+		rows := experiments.FigMemDecomp(c.s, c.ws)
+		c.results["figmemdecomp"] = rows
+		fmt.Fprint(w, experiments.FormatMemDecomp(rows))
+		return c.writeCSV("figmemdecomp.csv", func(f io.Writer) error { return experiments.WriteMemDecompCSV(f, rows) })
+	}},
+	{"figengineprof", "Engine self-profile: phase costs x kernel mix + fast-forward opportunity", func(c *cli, w io.Writer) error {
 		// The experiment's point is the phase split, so profiling defaults
 		// on here (everywhere else it stays opt-in via -prof-period).
-		po := o
+		po := c.o
 		if po.ProfPeriod <= 0 {
 			po.ProfPeriod = prof.DefaultPeriod
 		}
-		ps := experiments.NewSession(po)
-		rows := experiments.FigEngineProf(ps, experiments.EngineProfWorkloads(ws))
-		record("figengineprof", rows)
-		maybeCSV("figengineprof.csv", func(f *os.File) error { return experiments.WriteEngineProfCSV(f, rows) })
-		fmt.Print(experiments.FormatEngineProf(rows))
-	case "fig8":
-		header("Figure 8: three kernels per SM")
-		fmt.Print(experiments.FormatFigure8(experiments.Figure8(s)))
-	case "fig9":
-		header("Figure 9: fairness and ANTT")
-		pairRows := experiments.Figure6From(s, ws, false)
-		tripleRows := experiments.Figure8(s)
-		fmt.Print(experiments.FormatFigure9(experiments.Figure9(s, pairRows, tripleRows)))
-	case "energy":
-		header("§V-G: energy and power")
-		rows := experiments.Figure6From(s, ws, false)
-		fmt.Print(experiments.FormatEnergy(experiments.Energy(s, rows)))
-	case "fig10":
-		header("Figure 10: sensitivity analysis")
-		a := experiments.Figure10a(o, ws)
-		b := experiments.Figure10b(o, ws)
-		fmt.Print(experiments.FormatFigure10(a, b))
-	case "bigsm":
-		header("§V-H: large-SM configuration")
-		lo := o
+		rows := experiments.FigEngineProf(experiments.NewSession(po), experiments.EngineProfWorkloads(c.ws))
+		c.results["figengineprof"] = rows
+		fmt.Fprint(w, experiments.FormatEngineProf(rows))
+		return c.writeCSV("figengineprof.csv", func(f io.Writer) error { return experiments.WriteEngineProfCSV(f, rows) })
+	}},
+	{"fig8", "Figure 8: three kernels per SM", func(c *cli, w io.Writer) error {
+		fmt.Fprint(w, experiments.FormatFigure8(c.tripleSweep()))
+		return nil
+	}},
+	{"fig9", "Figure 9: fairness and ANTT", func(c *cli, w io.Writer) error {
+		fmt.Fprint(w, experiments.FormatFigure9(experiments.Figure9(c.s, c.pairSweep(false), c.tripleSweep())))
+		return nil
+	}},
+	{"energy", "§V-G: energy and power", func(c *cli, w io.Writer) error {
+		fmt.Fprint(w, experiments.FormatEnergy(experiments.Energy(c.s, c.pairSweep(false))))
+		return nil
+	}},
+	{"fig10", "Figure 10: sensitivity analysis (pair subset)", func(c *cli, w io.Writer) error {
+		// Figure 10 re-runs the dynamic policy under many controller
+		// settings; every third pair keeps the sweep tractable on one core.
+		var ws []experiments.Workload
+		for i := 0; i < len(c.ws); i += 3 {
+			ws = append(ws, c.ws[i])
+		}
+		fmt.Fprint(w, experiments.FormatFigure10(experiments.Figure10a(c.o, ws), experiments.Figure10b(c.o, ws)))
+		return nil
+	}},
+	{"bigsm", "§V-H: large-SM configuration", func(c *cli, w io.Writer) error {
+		lo := c.o
 		lo.Cfg = config.LargeSM()
-		fmt.Print(experiments.FormatBigSM(experiments.BigSM(lo, ws)))
-	case "overhead":
-		header("§V-I: hardware overhead")
-		fmt.Print(experiments.FormatOverhead(power.Overhead(o.Cfg.NumSMs)))
-	case "report":
-		header("Paper-vs-measured report")
-		pairRows := experiments.Figure6From(s, ws, withOracle)
-		tripleRows := experiments.Figure8(s)
-		fair := experiments.Figure9(s, pairRows, tripleRows)
-		en := experiments.Energy(s, pairRows)
-		rep := experiments.BuildReport(pairRows, tripleRows, fair, en)
-		record("report", rep)
-		fmt.Print(rep.Format())
-	case "timeline":
-		runTimeline(s)
-	case "divergence":
-		runDivergence(o)
-	case "all":
-		runAll(o, ws, withOracle)
-	default:
-		fatal(fmt.Errorf("unknown experiment %q", name))
-	}
+		fmt.Fprint(w, experiments.FormatBigSM(experiments.BigSM(lo, c.ws)))
+		return nil
+	}},
+	{"overhead", "§V-I: hardware overhead", func(c *cli, w io.Writer) error {
+		fmt.Fprint(w, experiments.FormatOverhead(power.Overhead(c.o.Cfg.NumSMs)))
+		return nil
+	}},
+	{"report", "Paper-vs-measured report", func(c *cli, w io.Writer) error {
+		pairs, triples := c.pairSweep(c.oracle), c.tripleSweep()
+		rep := experiments.BuildReport(pairs, triples,
+			experiments.Figure9(c.s, pairs, triples), experiments.Energy(c.s, pairs))
+		c.results["report"] = rep
+		fmt.Fprint(w, rep.Format())
+		return nil
+	}},
 }
 
-// timeline flag values (set in main, read by runTimeline).
-var (
-	tlKernelsVal   = "IMG,BLK"
-	tlWindowVal    = int64(5000)
-	tlCyclesVal    = int64(120_000)
-	tlCSVVal       = ""
-	chromeTraceVal = ""
-)
+// experimentNames lists the table's names in order: what `all` runs.
+func experimentNames() []string {
+	names := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		names[i] = e.name
+	}
+	return names
+}
+
+// runExperiments runs the named table entries in order, one section each,
+// with a blank line between sections. A failing entry prints its error in
+// its section and the next entry still runs; the result reports how many
+// failed. An unknown name fails before anything runs.
+func (c *cli) runExperiments(names []string) error {
+	byName := map[string]experiment{}
+	for _, e := range experimentTable {
+		byName[e.name] = e
+	}
+	var todo []experiment
+	for _, n := range names {
+		e, ok := byName[n]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", n)
+		}
+		todo = append(todo, e)
+	}
+	failed := 0
+	for i, e := range todo {
+		if i > 0 {
+			fmt.Fprintln(c.out)
+		}
+		header(c.out, e.header)
+		if err := e.run(c, c.out); err != nil {
+			fmt.Fprintln(c.out, "error:", err)
+			failed++
+		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d of %d experiments failed", failed, len(todo))
+	}
+	return nil
+}
 
 // parseKernels resolves a comma-separated abbreviation list ("IMG,BLK").
 func parseKernels(list string) []*kernels.Spec {
@@ -380,53 +475,40 @@ func parseKernels(list string) []*kernels.Spec {
 	return specs
 }
 
-// divergence flag values (set in main, read by runDivergence).
-var (
-	trailAVal, trailBVal, recordTrailVal string
-	divPolicyVal                         string
-	digestPeriodVal                      int64
-)
-
-// runDivergence is the first-divergence bisector entry point. Three
-// modes: compare two recorded trail files, record a trail, or (default)
+// divergence is the first-divergence bisector entry point. Three modes:
+// compare two recorded trail files, record a trail, or (default)
 // self-check that a serial and a parallel session produce identical
 // digest trails for the same co-run. Exits 1 on divergence.
-func runDivergence(o experiments.Options) {
-	every := digestPeriodVal
+func (c *cli) divergence() {
+	every := c.digestPeriod
 	if every <= 0 {
 		every = gpu.DefaultDigestEvery
 	}
-	specs := parseKernels(tlKernelsVal)
+	specs := parseKernels(c.kernels)
 
 	switch {
-	case trailAVal != "" || trailBVal != "":
-		if trailAVal == "" || trailBVal == "" {
+	case c.trailA != "" || c.trailB != "":
+		if c.trailA == "" || c.trailB == "" {
 			fatal(fmt.Errorf("divergence: -trail-a and -trail-b must both be set"))
 		}
-		a, b := readTrail(trailAVal), readTrail(trailBVal)
+		a, b := readTrail(c.trailA), readTrail(c.trailB)
 		d, ok := divergence.Trails(a, b)
-		report(d, ok, fmt.Sprintf("%s vs %s (%d vs %d records)",
-			trailAVal, trailBVal, len(a.Records), len(b.Records)))
+		c.verdict(d, ok, fmt.Sprintf("%s vs %s (%d vs %d records)",
+			c.trailA, c.trailB, len(a.Records), len(b.Records)))
 
-	case recordTrailVal != "":
-		s := experiments.NewSession(o)
-		t := s.DigestTrail(specs, divPolicyVal, nil, every)
-		f, err := os.Create(recordTrailVal)
-		if err != nil {
+	case c.recordTrail != "":
+		t := c.s.DigestTrail(specs, c.policy, nil, every)
+		if err := writeFile(c.recordTrail, t.WriteJSONL); err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		if err := t.WriteJSONL(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recorded %d digest records (period %d, chain %s) to %s\n",
-			len(t.Records), every, t.Chain(), recordTrailVal)
+		fmt.Fprintf(c.out, "recorded %d digest records (period %d, chain %s) to %s\n",
+			len(t.Records), every, t.Chain(), c.recordTrail)
 
 	default:
-		header("Divergence self-check: serial vs parallel session")
-		d, ok := divergence.ParallelSerial(o, specs, divPolicyVal, nil, every)
-		report(d, ok, fmt.Sprintf("serial vs parallel, policy %q, workload %s, period %d",
-			divPolicyVal, experiments.WorkloadName(specs), every))
+		header(c.out, "Divergence self-check: serial vs parallel session")
+		d, ok := divergence.ParallelSerial(c.o, specs, c.policy, nil, every)
+		c.verdict(d, ok, fmt.Sprintf("serial vs parallel, policy %q, workload %s, period %d",
+			c.policy, experiments.WorkloadName(specs), every))
 	}
 }
 
@@ -443,187 +525,59 @@ func readTrail(path string) *digest.Trail {
 	return t
 }
 
-// report prints a bisection verdict and exits 1 on divergence.
-func report(d digest.Divergence, ok bool, label string) {
+// verdict prints a bisection verdict and exits 1 on divergence.
+func (c *cli) verdict(d digest.Divergence, ok bool, label string) {
 	if !ok {
-		fmt.Printf("identical: %s\n", label)
+		fmt.Fprintf(c.out, "identical: %s\n", label)
 		return
 	}
-	fmt.Printf("DIVERGED (%s): %s\n", label, d)
+	fmt.Fprintf(c.out, "DIVERGED (%s): %s\n", label, d)
 	os.Exit(1)
 }
 
-// runTimeline traces a Warped-Slicer co-run window by window.
-func runTimeline(s *experiments.Session) {
-	tl, r := s.Timeline(parseKernels(tlKernelsVal), tlWindowVal, tlCyclesVal)
-
-	out := os.Stdout
-	if tlCSVVal != "" {
-		f, err := os.Create(tlCSVVal)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
+// timeline traces a Warped-Slicer co-run window by window: CSV to stdout
+// (or -csv), plus an optional Chrome trace.
+func (c *cli) timeline() error {
+	tl, r := c.s.Timeline(parseKernels(c.kernels), c.window, c.cycles)
+	var err error
+	if c.csvPath == "" {
+		err = tl.WriteCSV(c.out)
+	} else {
+		err = writeFile(c.csvPath, tl.WriteCSV)
 	}
-	if err := tl.WriteCSV(out); err != nil {
-		fatal(err)
+	if err != nil {
+		return err
 	}
-	if chromeTraceVal != "" {
-		f, err := os.Create(chromeTraceVal)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := tl.WriteChromeTrace(f); err != nil {
-			fatal(err)
+	if c.chromeTrace != "" {
+		if err := writeFile(c.chromeTrace, tl.WriteChromeTrace); err != nil {
+			return err
 		}
 	}
 	if len(r.Partition) > 0 {
 		fmt.Fprintf(os.Stderr, "# partition: %v\n", r.Partition)
 	}
-	if rep, ok := s.O.Events.First(obs.EvRepartition); ok {
+	if rep, ok := c.o.Events.First(obs.EvRepartition); ok {
 		fmt.Fprintf(os.Stderr, "# repartition landed at cycle %d\n", rep.Cycle)
 	}
+	return nil
 }
 
-// runAll regenerates everything, sharing one session so the 30-pair sweep
-// feeds Table III, Figure 7, Figure 9 and the energy study without re-runs.
-func runAll(o experiments.Options, ws []experiments.Workload, withOracle bool) {
-	s := experiments.NewSession(o)
-
-	printConfig(o)
-	fmt.Println()
-
-	header("Table II: benchmark characteristics")
-	t2 := experiments.Table2(s)
-	record("table2", t2)
-	fmt.Print(experiments.FormatTable2(t2))
-	fmt.Println()
-
-	header("Figure 1: stall-cycle breakdown (isolation)")
-	f1 := experiments.Figure1(s)
-	record("figure1", f1)
-	fmt.Print(experiments.FormatFigure1(f1))
-	fmt.Println()
-
-	header("Figure 3a: performance vs CTA occupancy")
-	f3 := experiments.Figure3(s)
-	record("figure3", f3)
-	fmt.Print(experiments.FormatFigure3(f3))
-	fmt.Println()
-
-	header("Figure 3b: sweet-spot identification (IMG + NN)")
-	if ss, err := s.Figure3b(kernels.ByAbbr("IMG"), kernels.ByAbbr("NN")); err == nil {
-		fmt.Print(experiments.FormatSweetSpot(ss))
-	} else {
-		fmt.Println("error:", err)
-	}
-	fmt.Println()
-
-	header("Figure 5: 5K-cycle sampling window vs long-run behaviour")
-	fmt.Print(experiments.FormatFigure5(experiments.Figure5(s, 10)))
-	fmt.Println()
-
-	header("Figure 6: multiprogrammed pairs, IPC normalized to Left-Over")
-	rows := experiments.Figure6From(s, ws, withOracle)
-	record("figure6", rows)
-	record("figure6_gmeans", experiments.SummarizeFigure6(rows))
-	fmt.Print(experiments.FormatFigure6(rows))
-	fmt.Println()
-
-	header("Table III: CTA partitions (Warped-Slicer vs Even)")
-	fmt.Print(experiments.FormatTable3(experiments.Table3(s, rows)))
-	fmt.Println()
-
-	header("Figure 7: utilization / cache miss rates / stalls")
-	fmt.Print(experiments.FormatFigure7(
-		experiments.Figure7aFrom(s, rows),
-		experiments.Figure7bFrom(rows),
-		experiments.Figure7cFrom(rows)))
-	fmt.Println()
-
-	header("Figure 7c: per-benchmark stall breakdown (alone vs shared)")
-	det := experiments.Figure7cDetail(s, rows)
-	record("figure7c", det)
-	fmt.Print(experiments.FormatFigure7cDetail(det))
-	fmt.Println()
-
-	header("Memory-interference decomposition: sampled span stages, alone vs shared")
-	md := experiments.FigMemDecomp(s, ws)
-	record("figmemdecomp", md)
-	fmt.Print(experiments.FormatMemDecomp(md))
-	fmt.Println()
-
-	header("Engine self-profile: phase costs x kernel mix + fast-forward opportunity")
-	po := o
-	if po.ProfPeriod <= 0 {
-		po.ProfPeriod = prof.DefaultPeriod
-	}
-	ep := experiments.FigEngineProf(experiments.NewSession(po), experiments.EngineProfWorkloads(ws))
-	record("figengineprof", ep)
-	fmt.Print(experiments.FormatEngineProf(ep))
-	fmt.Println()
-
-	header("Figure 8: three kernels per SM")
-	rows8 := experiments.Figure8(s)
-	fmt.Print(experiments.FormatFigure8(rows8))
-	fmt.Println()
-
-	header("Figure 9: fairness and ANTT")
-	fmt.Print(experiments.FormatFigure9(experiments.Figure9(s, rows, rows8)))
-	fmt.Println()
-
-	header("§V-G: energy and power")
-	fmt.Print(experiments.FormatEnergy(experiments.Energy(s, rows)))
-	fmt.Println()
-
-	// Figure 10 re-runs the dynamic policy under many controller settings;
-	// sample every third pair to keep the sweep tractable on one core.
-	var ws10 []experiments.Workload
-	for i := 0; i < len(ws); i += 3 {
-		ws10 = append(ws10, ws[i])
-	}
-	header("Figure 10: sensitivity analysis (pair subset)")
-	fmt.Print(experiments.FormatFigure10(
-		experiments.Figure10a(o, ws10),
-		experiments.Figure10b(o, ws10)))
-	fmt.Println()
-
-	header("§V-H: large-SM configuration")
-	lo := o
-	lo.Cfg = config.LargeSM()
-	fmt.Print(experiments.FormatBigSM(experiments.BigSM(lo, ws)))
-	fmt.Println()
-
-	header("§V-I: hardware overhead")
-	fmt.Print(experiments.FormatOverhead(power.Overhead(o.Cfg.NumSMs)))
-	fmt.Println()
-
-	header("Paper-vs-measured report")
-	rep := experiments.BuildReport(rows, rows8,
-		experiments.Figure9(s, rows, rows8), experiments.Energy(s, rows))
-	record("report", rep)
-	fmt.Print(rep.Format())
-}
-
-func printConfig(o experiments.Options) {
+func printConfig(w io.Writer, o experiments.Options) {
 	g := o.Cfg
-	header("Table I: baseline configuration")
-	fmt.Printf("Compute Units      %d, %dMHz, SIMT Width = %dx2\n", g.NumSMs, g.CoreClockMHz, g.SM.SIMTWidth)
-	fmt.Printf("Resources / Core   max %d Threads, %d Registers\n", g.SM.MaxThreads, g.SM.Registers)
-	fmt.Printf("                   max %d CTAs, %dKB Shared Memory\n", g.SM.MaxCTAs, g.SM.SharedMemBytes/1024)
-	fmt.Printf("Warp Schedulers    %d per SM, default gto\n", g.SM.Schedulers)
-	fmt.Printf("L1 Data Cache      %dKB %d-way %d MSHR\n", g.L1.SizeBytes/1024, g.L1.Assoc, g.L1.MSHRs)
-	fmt.Printf("L2 Cache           %dKB/Memory Channel, %d-way\n", g.L2.SizeBytes/1024, g.L2.Assoc)
-	fmt.Printf("Memory Model       %d MCs, FR-FCFS, %dMHz\n", g.Memory.Channels, g.MemClockMHz)
-	fmt.Printf("GDDR5 Timing       tCL=%d tRP=%d tRC=%d tRAS=%d tRCD=%d tRRD=%d\n",
+	fmt.Fprintf(w, "Compute Units      %d, %dMHz, SIMT Width = %dx2\n", g.NumSMs, g.CoreClockMHz, g.SM.SIMTWidth)
+	fmt.Fprintf(w, "Resources / Core   max %d Threads, %d Registers\n", g.SM.MaxThreads, g.SM.Registers)
+	fmt.Fprintf(w, "                   max %d CTAs, %dKB Shared Memory\n", g.SM.MaxCTAs, g.SM.SharedMemBytes/1024)
+	fmt.Fprintf(w, "Warp Schedulers    %d per SM, default gto\n", g.SM.Schedulers)
+	fmt.Fprintf(w, "L1 Data Cache      %dKB %d-way %d MSHR\n", g.L1.SizeBytes/1024, g.L1.Assoc, g.L1.MSHRs)
+	fmt.Fprintf(w, "L2 Cache           %dKB/Memory Channel, %d-way\n", g.L2.SizeBytes/1024, g.L2.Assoc)
+	fmt.Fprintf(w, "Memory Model       %d MCs, FR-FCFS, %dMHz\n", g.Memory.Channels, g.MemClockMHz)
+	fmt.Fprintf(w, "GDDR5 Timing       tCL=%d tRP=%d tRC=%d tRAS=%d tRCD=%d tRRD=%d\n",
 		g.Memory.TCL, g.Memory.TRP, g.Memory.TRC, g.Memory.TRAS, g.Memory.TRCD, g.Memory.TRRD)
-	fmt.Printf("Windows            isolation=%d warmup=%d sample=%d\n", o.IsolationCycles, o.Warmup, o.Sample)
+	fmt.Fprintf(w, "Windows            isolation=%d warmup=%d sample=%d\n", o.IsolationCycles, o.Warmup, o.Sample)
 }
 
-func header(s string) {
-	fmt.Println("==== " + s + " ====")
+func header(w io.Writer, s string) {
+	fmt.Fprintln(w, "==== "+s+" ====")
 }
 
 func fatal(err error) {

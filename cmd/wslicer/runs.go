@@ -99,7 +99,9 @@ func runsShow(led *runlog.Ledger, key string) {
 	if err != nil {
 		fatal(err)
 	}
-	os.Stdout.Write(data)
+	if _, err := os.Stdout.Write(data); err != nil {
+		fatal(err)
+	}
 	if led.HasTrail(rec.Key) {
 		fmt.Fprintf(os.Stderr, "# digest trail stored: wslicer -ledger %s runs diff %s <other> bisects automatically\n",
 			led.Dir(), rec.Key)

@@ -374,6 +374,8 @@ type run struct {
 	targets []uint64
 	window  int64
 	drive   func(*gpu.GPU)
+	// params names drive's own settings in the run's ledger key.
+	params map[string]int64
 	// trail, when positive, records the run's full digest trail into
 	// g.Digests at that period.
 	trail int64
@@ -511,7 +513,7 @@ func (s *Session) Timeline(specs []*kernels.Spec, window, cycles int64) (*trace.
 	r, _ := s.simulate(run{kind: "timeline", policy: "dynamic", specs: specs, drive: func(g *gpu.GPU) {
 		tl.Events = g.Log
 		tl.Run(g, cycles)
-	}})
+	}, params: map[string]int64{"window": window, "cycles": cycles}})
 	return tl, r
 }
 

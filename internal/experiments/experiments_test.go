@@ -171,7 +171,7 @@ func TestFigure1Fractions(t *testing.T) {
 func TestRunWorkloadsSubset(t *testing.T) {
 	s := quickSession(t)
 	ws := Pairs()[:2]
-	rows := runWorkloads(s, ws, false)
+	rows := Figure6From(s, ws, false)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -263,7 +263,7 @@ func TestFigure5WindowsStable(t *testing.T) {
 
 func TestFigure7Aggregates(t *testing.T) {
 	s := quickSession(t)
-	rows := runWorkloads(s, Pairs()[:2], false)
+	rows := Figure6From(s, Pairs()[:2], false)
 	a := Figure7aFrom(s, rows)
 	if a.ALU <= 0 || a.REG <= 0 {
 		t.Fatalf("utilization ratios not positive: %+v", a)
@@ -296,8 +296,8 @@ func TestFigure7Aggregates(t *testing.T) {
 
 func TestFigure9Fairness(t *testing.T) {
 	s := quickSession(t)
-	pairRows := runWorkloads(s, Pairs()[:1], false)
-	tripleRows := runWorkloads(s, Triples()[:1], false)
+	pairRows := Figure6From(s, Pairs()[:1], false)
+	tripleRows := Figure6From(s, Triples()[:1], false)
 	rows := Figure9(s, pairRows, tripleRows)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -320,7 +320,7 @@ func TestFigure9Fairness(t *testing.T) {
 
 func TestEnergyNormalization(t *testing.T) {
 	s := quickSession(t)
-	rows := runWorkloads(s, Pairs()[:1], false)
+	rows := Figure6From(s, Pairs()[:1], false)
 	er := Energy(s, rows)
 	if len(er) != 4 {
 		t.Fatalf("rows = %d", len(er))
@@ -373,7 +373,7 @@ func TestBigSMRuns(t *testing.T) {
 
 func TestOracleRecordsPartition(t *testing.T) {
 	s := quickSession(t)
-	rows := runWorkloads(s, Pairs()[:1], true)
+	rows := Figure6From(s, Pairs()[:1], true)
 	r := rows[0]
 	if r.Oracle <= 0 {
 		t.Fatal("oracle missing")
@@ -389,8 +389,8 @@ func TestOracleRecordsPartition(t *testing.T) {
 
 func TestBuildReport(t *testing.T) {
 	s := quickSession(t)
-	pairRows := runWorkloads(s, Pairs()[:1], false)
-	tripleRows := runWorkloads(s, Triples()[:1], false)
+	pairRows := Figure6From(s, Pairs()[:1], false)
+	tripleRows := Figure6From(s, Triples()[:1], false)
 	fair := Figure9(s, pairRows, tripleRows)
 	en := Energy(s, pairRows)
 	rep := BuildReport(pairRows, tripleRows, fair, en)

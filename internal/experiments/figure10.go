@@ -81,7 +81,7 @@ type Figure10bRow struct {
 }
 
 // Figure10b evaluates the policies under GTO and round-robin scheduling.
-// Each scheduler's sweep is already parallel (runWorkloads); the two
+// Each scheduler's sweep is already parallel (Figure6From); the two
 // sessions run in sequence so nested fan-out stays bounded.
 func Figure10b(o Options, ws []Workload) []Figure10bRow {
 	var out []Figure10bRow
@@ -89,7 +89,7 @@ func Figure10b(o Options, ws []Workload) []Figure10bRow {
 		oo := o
 		oo.Sched = sched
 		s := NewSession(oo)
-		rows := runWorkloads(s, ws, false)
+		rows := Figure6From(s, ws, false)
 		out = append(out, Figure10bRow{Scheduler: sched.String(), Gmeans: SummarizeFigure6(rows)})
 	}
 	return out

@@ -56,7 +56,7 @@ func Figure5(s *Session, windows int) []Figure5Row {
 				row.WindowPhiMem = append(row.WindowPhiMem, metrics.Frac(mem-prevMem, slots-prevSlots))
 				prevInsts, prevMem, prevSlots = insts, mem, slots
 			}
-		}})
+		}, params: map[string]int64{"windows": int64(windows)}})
 
 		rest := metrics.Mean(row.WindowIPC[1:])
 		if rest > 0 {

@@ -31,19 +31,14 @@ type Figure6Row struct {
 // Figure6 runs every pair under Left-Over, Spatial, Even, Dynamic and the
 // Oracle, reporting IPC normalized to Left-Over.
 func Figure6(s *Session, withOracle bool) []Figure6Row {
-	return runWorkloads(s, Pairs(), withOracle)
+	return Figure6From(s, Pairs(), withOracle)
 }
 
 // Figure6From evaluates the policy set on a caller-chosen workload subset.
+// Workloads are independent simulations, so the sweep fans across the
+// session's worker pool; rows are collected by index, keeping the output
+// identical to a serial sweep.
 func Figure6From(s *Session, ws []Workload, withOracle bool) []Figure6Row {
-	return runWorkloads(s, ws, withOracle)
-}
-
-// runWorkloads evaluates the policy set on arbitrary workloads. Workloads
-// are independent simulations, so the sweep fans across the session's
-// worker pool; rows are collected by index, keeping the output identical
-// to a serial sweep.
-func runWorkloads(s *Session, ws []Workload, withOracle bool) []Figure6Row {
 	if len(ws) == 0 {
 		return nil
 	}

@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // shared across the tests in this file via the session's caches.
 func suiteRows(t *testing.T, s *Session) []Figure6Row {
 	t.Helper()
-	return runWorkloads(s, Pairs()[:2], false)
+	return Figure6From(s, Pairs()[:2], false)
 }
 
 // TestStallConservationOnSuiteCoRuns pins the attribution invariant on
@@ -107,7 +107,7 @@ func TestFigure7cDetailRows(t *testing.T) {
 // `go test ./internal/experiments -run Figure7cGolden -update`.
 func TestFigure7cGoldenCSV(t *testing.T) {
 	s := quickSession(t)
-	det := Figure7cDetail(s, runWorkloads(s, Pairs()[:1], false))
+	det := Figure7cDetail(s, Figure6From(s, Pairs()[:1], false))
 	var buf bytes.Buffer
 	if err := WriteFigure7cCSV(&buf, det); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // Dynamic, normalized to Left-Over (oracle search over 3-kernel spaces is
 // optional; the paper's Figure 8 omits it too).
 func Figure8(s *Session) []Figure6Row {
-	return runWorkloads(s, Triples(), false)
+	return Figure6From(s, Triples(), false)
 }
 
 // FormatFigure8 renders the three-kernel results.

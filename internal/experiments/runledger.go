@@ -29,6 +29,9 @@ func (s *Session) recordRun(r run, co CoRun, g *gpu.GPU, rec *runlog.Recorder, w
 		Policy:        r.policy,
 		CTAs:          r.ctas,
 		Targets:       r.targets,
+		Window:        r.window,
+		DigestPeriod:  r.trail,
+		Drive:         r.params,
 		Sched:         s.O.Sched.String(),
 		Windows: runlog.Windows{
 			Isolation:        s.O.IsolationCycles,

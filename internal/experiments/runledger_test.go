@@ -261,3 +261,39 @@ func TestDigestRecordMatchesCoRunIPC(t *testing.T) {
 		}
 	}
 }
+
+// TestLedgerKeysRunLengths checks that a run's own length is part of its
+// content address: two runs that differ only in one append two records,
+// so the second is not deduped away as a copy of the first.
+func TestLedgerKeysRunLengths(t *testing.T) {
+	pair := []*kernels.Spec{kernels.ByAbbr("IMG"), kernels.ByAbbr("BLK")}
+	cases := []struct {
+		name string
+		kind string
+		a, b int64
+		run  func(s *Session, n int64)
+		want int
+	}{
+		{"Timeline cycles", "timeline", 2000, 4000, func(s *Session, n int64) { s.Timeline(pair, 1000, n) }, 2},
+		{"Timeline window", "timeline", 1000, 2000, func(s *Session, n int64) { s.Timeline(pair, n, 4000) }, 2},
+		{"RunFixedCycles", "window", 2000, 4000, func(s *Session, n int64) { s.RunFixedCycles(pair, "even", nil, n) }, 2},
+		{"DigestTrail period", "digest", 512, 1024, func(s *Session, n int64) { s.DigestTrail(pair[:1], "even", nil, n) }, 2},
+		{"Figure5 windows", "fig5", 2, 3, func(s *Session, n int64) { Figure5(s, int(n)) }, 2 * len(kernels.Suite())},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, led := ledgerSession(t, 2)
+			c.run(s, c.a)
+			c.run(s, c.b)
+			got := 0
+			for _, e := range led.List() {
+				if e.Kind == c.kind {
+					got++
+				}
+			}
+			if got != c.want {
+				t.Errorf("%s records = %d, want %d", c.kind, got, c.want)
+			}
+		})
+	}
+}

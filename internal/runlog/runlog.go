@@ -61,6 +61,14 @@ type Inputs struct {
 	Sched         string     `json:"sched"`
 	Windows       Windows    `json:"windows"`
 	Config        config.GPU `json:"config"`
+
+	// Window is a fixed-length run's cycle count, DigestPeriod a digest
+	// run's recording period, and Drive a driven run's own parameters
+	// (the timeline's window and cycles, Figure 5's window count). Each
+	// is omitted when unset, so runs without one keep their keys.
+	Window       int64            `json:"window,omitempty"`
+	DigestPeriod int64            `json:"digest_period,omitempty"`
+	Drive        map[string]int64 `json:"drive,omitempty"`
 }
 
 // Key computes the run's content address: the canonical JSON of the

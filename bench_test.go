@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"syscall"
@@ -424,41 +425,7 @@ func TestObsOverheadBudget(t *testing.T) {
 		return g
 	}
 
-	var bare, inst float64
-	var overhead float64
-	// The measurement is paired: both GPUs advance the same simulated
-	// window each round (the simulator is deterministic, so they stay in
-	// lockstep), and the overhead is the median of the per-round cost
-	// ratios. Pairing makes the comparison immune to the workload's own
-	// phase structure (per-cycle cost drops ~3× as the kernel drains) and
-	// to machine drift; alternating which configuration runs first each
-	// round cancels positional bias (the second run of a pair starts
-	// warmer). A few attempts keep one globally noisy stretch from
-	// failing the budget.
-	for attempt := 0; attempt < 3; attempt++ {
-		gBare, gInst := newGPU(false), newGPU(true)
-		bareRounds := make([]float64, 0, rounds)
-		instRounds := make([]float64, 0, rounds)
-		ratios := make([]float64, 0, rounds)
-		for r := 0; r < rounds; r++ {
-			var b, i float64
-			if r%2 == 0 {
-				b = obsTimeRun(gBare, chunk)
-				i = obsTimeRun(gInst, chunk)
-			} else {
-				i = obsTimeRun(gInst, chunk)
-				b = obsTimeRun(gBare, chunk)
-			}
-			bareRounds = append(bareRounds, b)
-			instRounds = append(instRounds, i)
-			ratios = append(ratios, i/b)
-		}
-		bare, inst = median(bareRounds), median(instRounds)
-		overhead = median(ratios) - 1
-		if overhead < obsBudgetFrac {
-			break
-		}
-	}
+	bare, inst, overhead := pairedOverhead(newGPU, rounds, chunk, obsBudgetFrac)
 
 	// The latency histograms (L1 round trip, L2 queue wait, DRAM service,
 	// eviction age) Observe inside the model in both configurations, so
@@ -491,6 +458,98 @@ func TestObsOverheadBudget(t *testing.T) {
 	if overhead >= obsBudgetFrac {
 		t.Errorf("passive instrumentation overhead %.2f%% exceeds the %.0f%% budget",
 			overhead*100, obsBudgetFrac*100)
+	}
+}
+
+// pairedOverhead measures what instrumentation costs per simulated cycle:
+// newGPU(false) builds the bare configuration and newGPU(true) the
+// instrumented one. It returns both median ns/cycle and the overhead
+// fraction.
+//
+// The measurement is paired: both GPUs advance the same simulated window
+// each round (the simulator is deterministic, so they stay in lockstep),
+// and the overhead is the median of the per-round cost ratios. Pairing
+// makes the comparison immune to the workload's own phase structure
+// (per-cycle cost drops ~3× as the kernel drains) and to machine drift;
+// alternating which configuration runs first each round cancels
+// positional bias (the second run of a pair starts warmer). A few
+// attempts keep one globally noisy stretch from failing the budget.
+func pairedOverhead(newGPU func(instrumented bool) *gpu.GPU, rounds int, chunk int64, budget float64) (bare, inst, overhead float64) {
+	for attempt := 0; attempt < 3; attempt++ {
+		gBare, gInst := newGPU(false), newGPU(true)
+		bareRounds := make([]float64, 0, rounds)
+		instRounds := make([]float64, 0, rounds)
+		ratios := make([]float64, 0, rounds)
+		for r := 0; r < rounds; r++ {
+			var b, i float64
+			if r%2 == 0 {
+				b = obsTimeRun(gBare, chunk)
+				i = obsTimeRun(gInst, chunk)
+			} else {
+				i = obsTimeRun(gInst, chunk)
+				b = obsTimeRun(gBare, chunk)
+			}
+			bareRounds = append(bareRounds, b)
+			instRounds = append(instRounds, i)
+			ratios = append(ratios, i/b)
+		}
+		bare, inst = median(bareRounds), median(instRounds)
+		overhead = median(ratios) - 1
+		if overhead < budget {
+			break
+		}
+	}
+	return bare, inst, overhead
+}
+
+// TestObsDrainedOverheadBudget is the drained sibling of
+// TestObsOverheadBudget: a GPU instrumented the way a ledger-armed
+// session instruments it (experiments.Options.Instrument with a Ledger
+// and no Hub), whose monitor drains the ledger's series counters every
+// 2048 cycles, must stay within drainedBudgetFrac of the same GPU left
+// uninstrumented. The measurement is written to BENCH_obs.json under
+// WS_BENCH=1.
+func TestObsDrainedOverheadBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	if assert.Enabled {
+		t.Skip("overhead budget applies to the assert-off build")
+	}
+	const (
+		rounds            = 7
+		chunk             = int64(10_000)
+		drainedBudgetFrac = 0.05
+	)
+	led, err := runlog.Open(filepath.Join(t.TempDir(), "ledger"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := experiments.Quick()
+	o.Ledger = led
+	newGPU := func(instrumented bool) *gpu.GPU {
+		g := gpu.New(o.Cfg, policy.FCFS{})
+		if instrumented {
+			o.Instrument(g)
+		}
+		g.AddKernel(kernels.ByAbbr("MM"), 0)
+		g.RunCycles(1000)
+		return g
+	}
+
+	bare, inst, overhead := pairedOverhead(newGPU, rounds, chunk, drainedBudgetFrac)
+	clamped := max(overhead, 0)
+	mergeBenchJSON(t, "BENCH_obs.json", map[string]any{
+		"drained_bare_ns_per_cycle":         bare,
+		"drained_instrumented_ns_per_cycle": inst,
+		"drained_overhead_frac":             clamped,
+		"drained_overhead_frac_raw":         overhead,
+		"drained_budget_frac":               drainedBudgetFrac,
+	})
+	t.Logf("bare %.1f ns/cycle, ledger-drained %.1f ns/cycle, overhead %.2f%%", bare, inst, overhead*100)
+	if overhead >= drainedBudgetFrac {
+		t.Errorf("drained ledger monitoring overhead %.2f%% exceeds the %.0f%% budget",
+			overhead*100, drainedBudgetFrac*100)
 	}
 }
 

@@ -25,9 +25,10 @@ func (s *Stats) EmitObs(emit obs.Emit, names []string) {
 func (c *Cache) Register(r *obs.Registry, kv ...string) {
 	names := Series(kv...)
 	ops := obs.Label("ws_cache_ops_total", kv...)
+	evictionAge := obs.NewHistSeries("ws_cache_eviction_age_ops", kv...)
 	r.Collector(func(emit obs.Emit) {
 		c.Stats.EmitObs(emit, names)
 		emit(ops, obs.Counter, float64(c.tick))
-		c.EvictionAge.Emit(emit, "ws_cache_eviction_age_ops", kv...)
+		c.EvictionAge.Emit(emit, evictionAge)
 	})
 }

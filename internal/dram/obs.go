@@ -8,14 +8,14 @@ import "warpedslicer/internal/obs"
 func (ch *Channel) Register(r *obs.Registry, kv ...string) {
 	names := obs.LabelAll(statsNames[:], kv...)
 	queueLen := obs.Label("ws_dram_queue_len", kv...)
-	hitKV := append(append([]string(nil), kv...), "row", "hit")
-	missKV := append(append([]string(nil), kv...), "row", "miss")
+	hitNames := obs.NewHistSeries("ws_dram_service_cycles", append(append([]string(nil), kv...), "row", "hit")...)
+	missNames := obs.NewHistSeries("ws_dram_service_cycles", append(append([]string(nil), kv...), "row", "miss")...)
 	r.Collector(func(emit obs.Emit) {
 		for i, v := range ch.Stats.fields() {
 			emit(names[i], obs.Counter, float64(*v))
 		}
 		emit(queueLen, obs.Gauge, float64(ch.QueueLen()))
-		ch.RowHitService.Emit(emit, "ws_dram_service_cycles", hitKV...)
-		ch.RowMissService.Emit(emit, "ws_dram_service_cycles", missKV...)
+		ch.RowHitService.Emit(emit, hitNames)
+		ch.RowMissService.Emit(emit, missNames)
 	})
 }

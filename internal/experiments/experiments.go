@@ -61,7 +61,9 @@ type Options struct {
 	// Ledger, when non-nil, receives one content-addressed RunRecord per
 	// completed run (isolation references, co-runs, fixed windows, digest,
 	// engine-profile, Figure 5 and timeline runs): headline metrics plus a
-	// windowed counter series recorded on the Monitor cadence. Identical
+	// windowed counter series recorded on the Monitor cadence. The series
+	// reads its counters straight from the device aggregate; registry
+	// snapshots are taken only for a Hub (or a black box). Identical
 	// inputs dedupe to one entry; records are byte-identical at any
 	// Parallelism. When DigestEvery is also set, each run's digest trail is
 	// stored next to its record for `wslicer runs diff` bisection.
@@ -147,15 +149,16 @@ func Quick() Options {
 	return o
 }
 
-// monitorEvery is the cycle period at which an instrumented GPU publishes
-// registry snapshots to the Hub and the ledger's series recorder.
+// monitorEvery is the cycle period at which an instrumented GPU feeds the
+// ledger's series recorder, read straight from the device aggregate, and
+// publishes registry snapshots to the Hub.
 const monitorEvery = 2048
 
 // Instrument attaches the session's observability sinks to a freshly built
-// GPU: the event log for kernel lifecycle events, and — when a Hub or
-// Ledger is set — a registry sampled on a fixed cycle period. With none
-// configured this is a no-op and the simulation runs with zero monitoring
-// cost.
+// GPU: the event log for kernel lifecycle events, the flight recorder,
+// and — when a Hub or Ledger is set — a monitor on a fixed cycle period.
+// With none configured this is a no-op and the simulation runs with zero
+// monitoring cost.
 func (o Options) Instrument(g *gpu.GPU) { o.instrument(g, o.Events) }
 
 // instrument is Instrument with an explicit (typically run-scoped) event
@@ -163,6 +166,11 @@ func (o Options) Instrument(g *gpu.GPU) { o.instrument(g, o.Events) }
 // attributable. When a Ledger is configured it returns the run's series
 // recorder (nil otherwise), which the run-completion path folds into the
 // RunRecord.
+//
+// The registry reads, labels and sorts every series on the device, so it
+// is built only for consumers of whole snapshots: at run start for a Hub,
+// and on demand for a black box. The recorder keeps a handful of
+// label-free device counters and reads them directly.
 func (o Options) instrument(g *gpu.GPU, log *obs.EventLog) *runlog.Recorder {
 	g.Log = log
 	if o.ProfPeriod > 0 {
@@ -177,26 +185,47 @@ func (o Options) instrument(g *gpu.GPU, log *obs.EventLog) *runlog.Recorder {
 			g.Digests = &digest.Trail{}
 		}
 	}
-	if o.Hub == nil && o.Ledger == nil {
+	if o.Hub == nil && o.Ledger == nil && o.DigestEvery <= 0 {
 		return nil
 	}
-	reg := obs.NewRegistry()
-	g.Register(reg)
-	g.ObsSnapshot = func() any { return reg.Snapshot() }
-	g.MonitorEvery = monitorEvery
 	var rec *runlog.Recorder
 	if o.Ledger != nil {
 		rec = runlog.NewRecorder(runlog.DefaultSeries(), runlog.DefaultMaxPoints)
-		rec.Register(reg)
-		o.Ledger.Register(reg)
 	}
+	var reg *obs.Registry
+	registry := func() *obs.Registry {
+		if reg == nil {
+			reg = obs.NewRegistry()
+			g.Register(reg)
+			rec.Register(reg)
+			o.Ledger.Register(reg)
+		}
+		return reg
+	}
+	g.ObsSnapshot = func() any { return registry().Snapshot() }
+	if o.Hub == nil && rec == nil {
+		return nil
+	}
+
+	names := runlog.DefaultSeries()
+	read, err := g.DeviceCounters(names)
+	if err != nil {
+		panic(err)
+	}
+	vals := make([]float64, len(names))
+	if o.Hub != nil {
+		registry()
+	}
+	g.MonitorEvery = monitorEvery
 	g.Monitor = func(gg *gpu.GPU) {
-		snap := reg.Snapshot()
-		rec.Observe(gg.Now(), snap)
 		if o.Hub != nil {
-			o.Hub.Publish(snap)
+			o.Hub.Publish(reg.Snapshot())
 			o.Hub.PublishSpans(gg.Mem.Spans.Summary())
 			o.Hub.PublishProfile(gg.Profile())
+		}
+		if rec != nil {
+			read(vals)
+			rec.Record(gg.Now(), vals)
 		}
 	}
 	return rec

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"strconv"
 
 	"warpedslicer/internal/obs"
@@ -47,7 +48,7 @@ func (g *GPU) Register(r *obs.Registry) {
 	r.Collector(func(emit obs.Emit) {
 		agg := g.AggregateSM()
 		agg.EmitObs(emit, aggNames)
-		emit("ws_gpu_ff_skippable_cycles_total", obs.Counter, float64(g.ffSkippable))
+		emit(ffSkippableName, obs.Counter, float64(g.ffSkippable))
 	})
 
 	// State-digest surface. Emitted only while digesting is armed, so
@@ -69,6 +70,40 @@ func (g *GPU) Register(r *obs.Registry) {
 	}
 	g.Mem.Register(r)
 	g.Prof.Register(r)
+}
+
+// ffSkippableName is the fast-forward opportunity meter's series name.
+const ffSkippableName = "ws_gpu_ff_skippable_cycles_total"
+
+// DeviceCounters resolves label-free device counters by name — the
+// device-wide ws_sm_*_total aggregates and ws_gpu_ff_skippable_cycles_total
+// — once, and returns a reader that fills dst[i] with names[i]'s current
+// value: the same float64 a registry Snapshot holds for it, read without
+// building one. An unknown or labelled name is an error.
+func (g *GPU) DeviceCounters(names []string) (func(dst []float64), error) {
+	const ff = -1
+	idx := make([]int, len(names))
+	for i, name := range names {
+		if name == ffSkippableName {
+			idx[i] = ff
+			continue
+		}
+		f, ok := sm.StatsCounter(name)
+		if !ok {
+			return nil, fmt.Errorf("gpu: %q is not a label-free device counter", name)
+		}
+		idx[i] = f
+	}
+	return func(dst []float64) {
+		agg := g.AggregateSM()
+		for i, f := range idx {
+			if f == ff {
+				dst[i] = float64(g.ffSkippable)
+			} else {
+				dst[i] = float64(agg.Counter(f))
+			}
+		}
+	}, nil
 }
 
 func boolGauge(b bool) float64 {

@@ -264,3 +264,43 @@ func rollupOf(smp obs.Sample) (string, bool) {
 	a := strings.Replace(instanceLabel.ReplaceAllString(n, ""), "{,", "{", 1)
 	return strings.TrimSuffix(a, "{}"), true
 }
+
+// TestDeviceCounters checks the direct reader: every label-free
+// device-wide counter it serves reads the same value a registry snapshot
+// holds, and a name it cannot serve is an error when it is resolved.
+func TestDeviceCounters(t *testing.T) {
+	g := gpu.New(config.Baseline(), policy.Even{})
+	g.AddKernel(kernels.ByAbbr("MM"), 0)
+	g.AddKernel(kernels.ByAbbr("BFS"), 0)
+	g.RunCycles(5000)
+	reg := obs.NewRegistry()
+	g.Register(reg)
+	snap := reg.Snapshot()
+
+	names := []string{"ws_gpu_ff_skippable_cycles_total"}
+	for _, smp := range snap.Samples {
+		if strings.HasPrefix(smp.Name, "ws_sm_") && strings.HasSuffix(smp.Name, "_total") && !strings.Contains(smp.Name, "{") {
+			names = append(names, smp.Name)
+		}
+	}
+	if len(names) < 10 {
+		t.Fatalf("only %d device counters in the snapshot: %v", len(names), names)
+	}
+	read, err := g.DeviceCounters(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, len(names))
+	read(vals)
+	for i, name := range names {
+		if vals[i] != snap.Get(name) {
+			t.Errorf("%s = %v read directly, %v in the snapshot", name, vals[i], snap.Get(name))
+		}
+	}
+
+	for _, bad := range []string{"ws_no_such_total", `ws_sm_issued_total{sm="0"}`, "ws_gpu_cycle"} {
+		if _, err := g.DeviceCounters([]string{"ws_sm_issued_total", bad}); err == nil {
+			t.Errorf("DeviceCounters(%q) resolved, want an error", bad)
+		}
+	}
+}

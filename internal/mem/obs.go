@@ -22,6 +22,8 @@ func (m *Subsystem) Register(r *obs.Registry) {
 	r.Histogram("ws_dram_backpressure_wait_cycles", &m.retryWait)
 	m.Spans.Register(r)
 	l2Names := cache.Series("cache", "l2")
+	hitNames := obs.NewHistSeries("ws_dram_row_hit_service_cycles")
+	missNames := obs.NewHistSeries("ws_dram_row_miss_service_cycles")
 	var served, l2Miss, l2Loads [MaxKernels]string
 	for k := 0; k < MaxKernels; k++ {
 		kl := strconv.Itoa(k)
@@ -46,8 +48,8 @@ func (m *Subsystem) Register(r *obs.Registry) {
 			hit.Merge(&p.dram.RowHitService)
 			miss.Merge(&p.dram.RowMissService)
 		}
-		hit.Emit(emit, "ws_dram_row_hit_service_cycles")
-		miss.Emit(emit, "ws_dram_row_miss_service_cycles")
+		hit.Emit(emit, hitNames)
+		miss.Emit(emit, missNames)
 		st.L2.EmitObs(emit, l2Names)
 		for k := 0; k < MaxKernels; k++ {
 			emit(served[k], obs.Counter, float64(st.DRAMServed[k]))

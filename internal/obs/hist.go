@@ -88,22 +88,41 @@ func histLe(i int) string {
 	return strconv.FormatUint(HistBound(i), 10)
 }
 
-// Emit publishes the histogram in Prometheus form under the given labels:
-// cumulative <name>_bucket{...,le="..."} series plus <name>_sum and
-// <name>_count, all of kind Histogram. The `le` label is always last so
-// window-diff consumers can reconstruct the series names.
-func (h *Hist) Emit(emit Emit, name string, kv ...string) {
-	lbl := make([]string, 0, len(kv)+2)
-	lbl = append(lbl, kv...)
-	lbl = append(lbl, "le", "")
-	var cum uint64
-	for i := 0; i <= HistBuckets; i++ {
-		cum += h.counts[i]
-		lbl[len(lbl)-1] = histLe(i)
-		emit(Label(name+"_bucket", lbl...), Histogram, float64(cum))
+// HistSeries holds one histogram's series names under one label set:
+// cumulative <name>_bucket{...,le="..."} names plus <name>_sum and
+// <name>_count. The `le` label is always last so window-diff consumers can
+// reconstruct the series names. Collectors build it once at registration,
+// so taking a snapshot formats no labels.
+type HistSeries struct {
+	bucket     [HistBuckets + 1]string
+	sum, count string
+}
+
+// NewHistSeries builds the series names of the histogram name under the
+// labels kv.
+func NewHistSeries(name string, kv ...string) *HistSeries {
+	hs := &HistSeries{
+		sum:   Label(name+"_sum", kv...),
+		count: Label(name+"_count", kv...),
 	}
-	emit(Label(name+"_sum", kv...), Histogram, float64(h.sum))
-	emit(Label(name+"_count", kv...), Histogram, float64(cum))
+	lbl := append(append([]string(nil), kv...), "le", "")
+	for i := range hs.bucket {
+		lbl[len(lbl)-1] = histLe(i)
+		hs.bucket[i] = Label(name+"_bucket", lbl...)
+	}
+	return hs
+}
+
+// Emit publishes the histogram in Prometheus form under names: the
+// cumulative buckets, the sum and the count, all of kind Histogram.
+func (h *Hist) Emit(emit Emit, names *HistSeries) {
+	var cum uint64
+	for i, name := range names.bucket {
+		cum += h.counts[i]
+		emit(name, Histogram, float64(cum))
+	}
+	emit(names.sum, Histogram, float64(h.sum))
+	emit(names.count, Histogram, float64(cum))
 }
 
 // Histogram registers a histogram source under the given base name. The
@@ -118,7 +137,8 @@ func (r *Registry) Histogram(name string, h *Hist) {
 	}
 	r.names[name] = struct{}{}
 	r.mu.Unlock()
-	r.Collector(func(emit Emit) { h.Emit(emit, name) })
+	names := NewHistSeries(name)
+	r.Collector(func(emit Emit) { h.Emit(emit, names) })
 }
 
 // HistWindow is the windowed view of one label-free histogram series: the
@@ -138,14 +158,14 @@ type HistWindow struct {
 // name the histogram was registered (or emitted label-free) under.
 func (s *Snapshot) HistWindow(prev *Snapshot, name string) HistWindow {
 	var hw HistWindow
+	names := NewHistSeries(name)
 	cumPrev := 0.0
-	for i := 0; i <= HistBuckets; i++ {
-		series := Label(name+"_bucket", "le", histLe(i))
+	for i, series := range names.bucket {
 		cum := s.Delta(prev, series)
 		hw.Counts[i] = cum - cumPrev
 		cumPrev = cum
 	}
-	hw.Sum = s.Delta(prev, name+"_sum")
+	hw.Sum = s.Delta(prev, names.sum)
 	return hw
 }
 

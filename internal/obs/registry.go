@@ -11,7 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -56,6 +56,9 @@ type Registry struct {
 	funcs      []metricFunc
 	collectors []func(Emit)
 	names      map[string]struct{}
+	// size is the previous snapshot's sample count, the next one's
+	// capacity hint.
+	size int
 }
 
 type metricFunc struct {
@@ -121,28 +124,42 @@ func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
 	funcs := r.funcs
 	collectors := r.collectors
+	size := max(r.size, len(funcs)+16*len(collectors))
 	r.mu.Unlock()
 
-	s := &Snapshot{Samples: make([]Sample, 0, len(funcs)+16*len(collectors))}
+	// Sort by (family, full name) so every series of one metric family is
+	// consecutive — WritePrometheus emits exactly one # TYPE line each.
+	// Each sample's family is cut once, not once per comparison.
+	keyed := make([]familySample, 0, size)
 	for _, m := range funcs {
-		s.Samples = append(s.Samples, Sample{Name: m.name, Kind: m.kind, Value: m.fn()})
+		keyed = append(keyed, familySample{family(m.name), Sample{Name: m.name, Kind: m.kind, Value: m.fn()}})
 	}
 	emit := func(name string, kind Kind, v float64) {
-		s.Samples = append(s.Samples, Sample{Name: name, Kind: kind, Value: v})
+		keyed = append(keyed, familySample{family(name), Sample{Name: name, Kind: kind, Value: v}})
 	}
 	for _, c := range collectors {
 		c(emit)
 	}
-	// Sort by (family, full name) so every series of one metric family is
-	// consecutive — WritePrometheus emits exactly one # TYPE line each.
-	sort.Slice(s.Samples, func(i, j int) bool {
-		fi, fj := family(s.Samples[i].Name), family(s.Samples[j].Name)
-		if fi != fj {
-			return fi < fj
+	slices.SortFunc(keyed, func(a, b familySample) int {
+		if c := strings.Compare(a.fam, b.fam); c != 0 {
+			return c
 		}
-		return s.Samples[i].Name < s.Samples[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
+	r.mu.Lock()
+	r.size = len(keyed)
+	r.mu.Unlock()
+	s := &Snapshot{Samples: make([]Sample, len(keyed))}
+	for i := range keyed {
+		s.Samples[i] = keyed[i].Sample
+	}
 	return s
+}
+
+// familySample is a sample with its family key, the Snapshot sort key.
+type familySample struct {
+	fam string
+	Sample
 }
 
 // family strips the label part of a series name.

@@ -65,3 +65,19 @@ func (s *SM) Register(r *obs.Registry) {
 		}
 	})
 }
+
+// StatsCounter returns the position of the named SM-wide counter
+// (ws_sm_*_total, label-free) in the Stats field list, for reading it
+// with Stats.Counter without a registry.
+func StatsCounter(name string) (int, bool) {
+	for i, n := range statsNames {
+		if n == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// Counter returns the value of the Stats field-list counter at position
+// i (see StatsCounter).
+func (st *Stats) Counter(i int) uint64 { return *st.fields()[i] }

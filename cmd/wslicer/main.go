@@ -538,6 +538,12 @@ func (c *cli) verdict(d digest.Divergence, ok bool, label string) {
 // timeline traces a Warped-Slicer co-run window by window: CSV to stdout
 // (or -csv), plus an optional Chrome trace.
 func (c *cli) timeline() error {
+	switch {
+	case c.window <= 0:
+		return fmt.Errorf("timeline: -window = %d, must be positive", c.window)
+	case c.cycles <= 0:
+		return fmt.Errorf("timeline: -cycles = %d, must be positive", c.cycles)
+	}
 	tl, r := c.s.Timeline(parseKernels(c.kernels), c.window, c.cycles)
 	var err error
 	if c.csvPath == "" {

@@ -109,3 +109,23 @@ func TestRunExperimentsUnknownName(t *testing.T) {
 		t.Errorf("runner printed before rejecting the name:\n%s", out.String())
 	}
 }
+
+// TestTimelineRejectsNonPositiveLengths checks that -window and -cycles
+// must be positive: no window is silently replaced by a default, and no
+// run reaches the ledger under a length it did not use.
+func TestTimelineRejectsNonPositiveLengths(t *testing.T) {
+	for _, f := range []flags{
+		{kernels: "IMG,BLK", window: 0, cycles: 10000},
+		{kernels: "IMG,BLK", window: -7, cycles: 10000},
+		{kernels: "IMG,BLK", window: 5000, cycles: 0},
+	} {
+		var out bytes.Buffer
+		c := newCLI(f, experiments.Quick(), &out)
+		if err := c.timeline(); err == nil {
+			t.Errorf("-window %d -cycles %d accepted", f.window, f.cycles)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-window %d -cycles %d printed a timeline:\n%s", f.window, f.cycles, out.String())
+		}
+	}
+}

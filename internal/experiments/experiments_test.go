@@ -261,6 +261,25 @@ func TestFigure5WindowsStable(t *testing.T) {
 	}
 }
 
+// TestFirstWindowErr covers the rows of kernels that drain early: a
+// timeline that ends in warm-up has no windows, and must not panic.
+func TestFirstWindowErr(t *testing.T) {
+	for _, c := range []struct {
+		ipc  []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{5}, 0},
+		{[]float64{3, 0, 0}, 0},
+		{[]float64{3, 2, 2}, 0.5},
+		{[]float64{1, 2, 2}, 0.5},
+	} {
+		if got := firstWindowErr(c.ipc); got != c.want {
+			t.Errorf("firstWindowErr(%v) = %v, want %v", c.ipc, got, c.want)
+		}
+	}
+}
+
 func TestFigure7Aggregates(t *testing.T) {
 	s := quickSession(t)
 	rows := Figure6From(s, Pairs()[:2], false)

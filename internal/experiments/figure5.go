@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"warpedslicer/internal/gpu"
 	"warpedslicer/internal/kernels"
 	"warpedslicer/internal/metrics"
-	"warpedslicer/internal/sm"
+	"warpedslicer/internal/trace"
 )
 
 // Figure5Row characterizes one benchmark's stability over time: per-window
@@ -16,7 +17,7 @@ import (
 type Figure5Row struct {
 	Abbr string
 	// WindowIPC[i] and WindowPhiMem[i] are measured over consecutive
-	// windows of WindowCycles.
+	// windows of WindowCycles, until the kernel drains.
 	WindowCycles int64
 	WindowIPC    []float64
 	WindowPhiMem []float64
@@ -26,15 +27,13 @@ type Figure5Row struct {
 }
 
 // Figure5 samples each benchmark's IPC and φmem over consecutive 5K-cycle
-// windows spanning a 10x longer run (the paper compared 5K vs 50K).
+// windows spanning a 10x longer run (the paper compared 5K vs 50K): a
+// trace.Timeline of Sample-cycle windows, started after warm-up.
 func Figure5(s *Session, windows int) []Figure5Row {
 	if windows <= 1 {
 		windows = 10
 	}
 	win := s.O.Sample
-	if win <= 0 {
-		win = 5000
-	}
 	suite := kernels.Suite()
 	rows := make([]Figure5Row, len(suite))
 	// Each benchmark's windowed trace is an independent simulation; fan
@@ -46,37 +45,33 @@ func Figure5(s *Session, windows int) []Figure5Row {
 			// Discard the cold-start window so the comparison mirrors the
 			// controller (which warms up before sampling).
 			g.RunCycles(s.O.Warmup)
-			a := g.AggregateSM()
-			prevInsts, prevMem, prevSlots := totalThreadInsts(a), a.StallMem, a.Slots
-			for w := 0; w < windows; w++ {
-				g.RunCycles(win)
-				a = g.AggregateSM()
-				insts, mem, slots := totalThreadInsts(a), a.StallMem, a.Slots
-				row.WindowIPC = append(row.WindowIPC, float64(insts-prevInsts)/float64(win))
-				row.WindowPhiMem = append(row.WindowPhiMem, metrics.Frac(mem-prevMem, slots-prevSlots))
-				prevInsts, prevMem, prevSlots = insts, mem, slots
+			tl := trace.New(win)
+			tl.Run(g, int64(windows)*win)
+			for _, p := range tl.Points {
+				row.WindowIPC = append(row.WindowIPC, p.KernelIPC[0])
+				row.WindowPhiMem = append(row.WindowPhiMem, p.StallMem)
 			}
 		}, params: map[string]int64{"windows": int64(windows)}})
 
-		rest := metrics.Mean(row.WindowIPC[1:])
-		if rest > 0 {
-			err := row.WindowIPC[0]/rest - 1
-			if err < 0 {
-				err = -err
-			}
-			row.FirstWindowErr = err
-		}
+		row.FirstWindowErr = firstWindowErr(row.WindowIPC)
 		rows[idx] = row
 	})
 	return rows
 }
 
-func totalThreadInsts(a sm.Stats) uint64 {
-	var t uint64
-	for _, k := range a.PerKernel {
-		t += k.ThreadInsts
+// firstWindowErr is |ipc[0] - mean(ipc[1:])| / mean(ipc[1:]), or 0 when
+// there are fewer than two windows (a kernel that drains ends its
+// timeline early, in warm-up even before the first window) or no IPC
+// after the first.
+func firstWindowErr(ipc []float64) float64 {
+	if len(ipc) < 2 {
+		return 0
 	}
-	return t
+	rest := metrics.Mean(ipc[1:])
+	if rest <= 0 {
+		return 0
+	}
+	return math.Abs(ipc[0]/rest - 1)
 }
 
 // FormatFigure5 renders per-window IPC and φmem plus the first-window

@@ -41,9 +41,8 @@ func (g *GPU) Register(r *obs.Registry) {
 		}
 	})
 
-	// Device-wide SM aggregate (one Stats walk per snapshot). The
-	// label-free per-kernel stall series feed the trace layer's
-	// per-kernel stall tracks.
+	// Device-wide SM aggregate (one Stats walk per snapshot), including
+	// the label-free per-kernel stall attribution series.
 	aggNames := sm.NewSeries()
 	r.Collector(func(emit obs.Emit) {
 		agg := g.AggregateSM()

@@ -394,6 +394,9 @@ func (m *Subsystem) Stats() Stats {
 	return s
 }
 
+// L1RoundTrip returns a copy of the L1-miss round-trip latency histogram.
+func (m *Subsystem) L1RoundTrip() obs.Hist { return m.l1RT }
+
 // Drained reports whether no request remains anywhere in the hierarchy.
 func (m *Subsystem) Drained() bool {
 	if m.reqNet.Len() > 0 || m.replyNet.Len() > 0 {

@@ -17,8 +17,8 @@ const HistBuckets = 20
 // the registry's third metric kind: the owner calls Observe on its hot
 // path (O(1), allocation-free), and the registry pulls the bucket state
 // only when a Snapshot is taken, exactly like Counter and Gauge sources.
-// Buckets are monotonic counters, so snapshot diffs yield per-window
-// histograms (see Snapshot.HistWindow).
+// Buckets are monotonic counters, so the diff of two copies of a Hist is
+// a per-window histogram (see Hist.Since).
 //
 // The zero value is ready to use. Hist is not synchronized: like every
 // other simulator counter it must be owned by one simulation goroutine.
@@ -90,9 +90,8 @@ func histLe(i int) string {
 
 // HistSeries holds one histogram's series names under one label set:
 // cumulative <name>_bucket{...,le="..."} names plus <name>_sum and
-// <name>_count. The `le` label is always last so window-diff consumers can
-// reconstruct the series names. Collectors build it once at registration,
-// so taking a snapshot formats no labels.
+// <name>_count, with the `le` label last. Collectors build it once at
+// registration, so taking a snapshot formats no labels.
 type HistSeries struct {
 	bucket     [HistBuckets + 1]string
 	sum, count string
@@ -141,8 +140,8 @@ func (r *Registry) Histogram(name string, h *Hist) {
 	r.Collector(func(emit Emit) { h.Emit(emit, names) })
 }
 
-// HistWindow is the windowed view of one label-free histogram series: the
-// per-bucket counts accumulated between two snapshots. Quantiles are
+// HistWindow is the windowed view of one histogram: the per-bucket counts
+// accumulated between two reads of it (see Hist.Since). Quantiles are
 // computed by linear interpolation inside the containing bucket, the same
 // estimate Prometheus's histogram_quantile uses.
 type HistWindow struct {
@@ -153,19 +152,14 @@ type HistWindow struct {
 	Sum float64
 }
 
-// HistWindow diffs the named histogram between prev and s. prev may be
-// nil (the first window measures from zero). The name must be the base
-// name the histogram was registered (or emitted label-free) under.
-func (s *Snapshot) HistWindow(prev *Snapshot, name string) HistWindow {
+// Since returns the window of observations h gained after prev, an
+// earlier copy of the same histogram.
+func (h *Hist) Since(prev *Hist) HistWindow {
 	var hw HistWindow
-	names := NewHistSeries(name)
-	cumPrev := 0.0
-	for i, series := range names.bucket {
-		cum := s.Delta(prev, series)
-		hw.Counts[i] = cum - cumPrev
-		cumPrev = cum
+	for i, c := range h.counts {
+		hw.Counts[i] = float64(c - prev.counts[i])
 	}
-	hw.Sum = s.Delta(prev, names.sum)
+	hw.Sum = float64(h.sum - prev.sum)
 	return hw
 }
 
@@ -196,20 +190,10 @@ func (hw HistWindow) Quantile(q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * total
+	target := min(max(q, 0), 1) * total
 	cum := 0.0
 	for i := 0; i <= HistBuckets; i++ {
-		if hw.Counts[i] == 0 {
-			cum += hw.Counts[i]
-			continue
-		}
-		if cum+hw.Counts[i] >= target {
+		if hw.Counts[i] > 0 && cum+hw.Counts[i] >= target {
 			if i >= HistBuckets {
 				return float64(HistBound(HistBuckets - 1))
 			}

@@ -93,24 +93,20 @@ func TestHistDuplicateNamePanics(t *testing.T) {
 	r.Histogram("dup", &h)
 }
 
-// TestHistWindowQuantiles verifies the snapshot-diff machinery: only the
-// observations between two snapshots contribute, and quantiles interpolate
-// within their bucket.
+// TestHistWindowQuantiles verifies the window diff: only the observations
+// after the earlier copy contribute, and quantiles interpolate within
+// their bucket.
 func TestHistWindowQuantiles(t *testing.T) {
-	r := NewRegistry()
 	var h Hist
-	r.Histogram("lat", &h)
-
 	h.Observe(1000) // before the window: must not appear in the diff
-	prev := r.Snapshot()
+	prev := h
 
 	// 100 observations uniformly placed in bucket (8, 16].
 	for i := 0; i < 100; i++ {
 		h.Observe(12)
 	}
-	snap := r.Snapshot()
 
-	hw := snap.HistWindow(prev, "lat")
+	hw := h.Since(&prev)
 	if got := hw.Count(); got != 100 {
 		t.Fatalf("window count = %g, want 100", got)
 	}
@@ -126,7 +122,7 @@ func TestHistWindowQuantiles(t *testing.T) {
 	}
 
 	// Empty window.
-	empty := snap.HistWindow(snap, "lat")
+	empty := h.Since(&h)
 	if empty.Count() != 0 || empty.Quantile(0.99) != 0 {
 		t.Errorf("empty window: count=%g q99=%g, want 0/0", empty.Count(), empty.Quantile(0.99))
 	}
@@ -135,11 +131,9 @@ func TestHistWindowQuantiles(t *testing.T) {
 // TestHistWindowOverflow pins the overflow-bucket convention: quantiles in
 // +Inf report the largest finite bound.
 func TestHistWindowOverflow(t *testing.T) {
-	r := NewRegistry()
 	var h Hist
-	r.Histogram("lat", &h)
 	h.Observe(1 << 40)
-	hw := r.Snapshot().HistWindow(nil, "lat")
+	hw := h.Since(&Hist{})
 	if got, want := hw.Quantile(0.5), float64(HistBound(HistBuckets-1)); got != want {
 		t.Errorf("overflow quantile = %g, want %g", got, want)
 	}

@@ -29,7 +29,7 @@ const (
 	Gauge
 	// Histogram marks the component series of one histogram (_bucket,
 	// _sum, _count). Buckets are cumulative and monotonic, so snapshot
-	// diffs work exactly as for Counter; see Hist and Snapshot.HistWindow.
+	// diffs work exactly as for Counter; see Hist.
 	Histogram
 )
 

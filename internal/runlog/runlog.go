@@ -1,6 +1,6 @@
 // Package runlog is the persistent run-provenance layer: an append-only,
-// content-addressed ledger of completed simulation runs plus a windowed
-// time-series recorder over obs registry snapshots. Every other
+// content-addressed ledger of completed simulation runs plus a bounded,
+// downsampled time series of device counter deltas. Every other
 // observability surface in the tree (registry, spans, profiler, digest
 // trails) dies with its process; the ledger is what survives — each run
 // lands as a RunRecord keyed by a digest of its inputs (config, kernel

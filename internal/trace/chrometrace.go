@@ -54,10 +54,7 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 	for _, p := range t.Points {
 		// Counter samples are stamped at the window's start so the value
 		// chrome draws over [start, end) is the value measured there.
-		ts := p.Cycle - t.Window
-		if ts < 0 {
-			ts = 0
-		}
+		ts := p.Start
 		ipc := make(map[string]any, len(p.KernelIPC))
 		ctas := make(map[string]any, len(p.CTAs))
 		for k := 0; k < t.kernels; k++ {
@@ -174,13 +171,17 @@ func (t *Timeline) spanEvents() []chromeEvent {
 	return out
 }
 
-// controllerEvents renders the run's events: every event as an instant, plus
+// controllerEvents renders the events of the timeline's own run (those
+// emitted under Events' run scope): every event as an instant, plus
 // duration spans for each profiling episode (profile_start -> sample_start
 // is warm-up; sample_start -> decision is sampling + algorithm delay).
 func (t *Timeline) controllerEvents() []chromeEvent {
+	if t.Events == nil {
+		return nil
+	}
 	var out []chromeEvent
 	var warmupFrom, sampleFrom int64 = -1, -1
-	for _, ev := range t.runEvents() {
+	for _, ev := range t.Events.FilterRun(t.Events.Run()) {
 		out = append(out, chromeEvent{
 			Name: ev.Kind, Ph: "i", Ts: ev.Cycle, Pid: chromePidController, S: "p",
 			Args: ev.Data,

@@ -83,6 +83,9 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte(`"name":"warmup"`)) {
 		t.Error("chrome trace has no warmup span")
 	}
+	if bytes.Contains(buf.Bytes(), []byte(`"name":"engine phase ns"`)) {
+		t.Error("unprofiled chrome trace has engine phase ns counters")
+	}
 	// Sampled memory-request spans render as nestable async events plus a
 	// flow arrow; a default-period run of this length must trace some.
 	for _, marker := range []string{

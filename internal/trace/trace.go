@@ -1,27 +1,29 @@
 // Package trace collects windowed timelines from a running simulation:
-// per-kernel IPC, occupancy, stall mix and memory bandwidth per fixed-size
-// cycle window. Windows are computed as obs registry snapshot diffs, so the
-// timeline sees exactly the counters every other sink sees. Timelines are
-// how the profiling controller's decisions can be inspected (the attached
-// event log pins the repartition to its exact cycle), and they export to
-// CSV and to Chrome trace-event JSON for chrome://tracing.
+// per-kernel IPC, occupancy, stall mix, L1-miss latency and memory
+// bandwidth per fixed-size cycle window. Each window diffs two reads of
+// the device's own counter structs, the same counters every obs sink
+// publishes. It is the harness's one in-run window sampler: Figure 5
+// reads its windows, and `wslicer timeline` exports them to CSV and to
+// Chrome trace-event JSON next to the controller's event log.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"warpedslicer/internal/gpu"
+	"warpedslicer/internal/mem"
+	"warpedslicer/internal/metrics"
 	"warpedslicer/internal/obs"
 	"warpedslicer/internal/prof"
+	"warpedslicer/internal/sm"
 )
 
 // Point is one window of one timeline.
 type Point struct {
-	// Cycle is the window's end cycle.
-	Cycle int64
+	// Start and Cycle are the window's start and end cycles.
+	Start, Cycle int64
 	// IPC per kernel slot (thread instructions / window cycles).
 	KernelIPC []float64
 	// CTAs is the total resident CTA count per kernel slot.
@@ -30,20 +32,21 @@ type Point struct {
 	StallMem, StallRAW, StallExec, StallIBuf float64
 	// KernelStallMem/RAW/Exec/IBuf split the window stall fractions per
 	// kernel slot (same denominator: issue slots in the window), from the
-	// device-wide ws_sm_kernel_stall_* attribution counters. Each slice
-	// is indexed like KernelIPC.
+	// SM aggregate's per-kernel stall attribution. Each slice is indexed
+	// like KernelIPC.
 	KernelStallMem, KernelStallRAW, KernelStallExec, KernelStallIBuf []float64
 	// LatP50/LatP95/LatP99 are window percentiles of the L1-miss
-	// round-trip latency (core cycles), from the
-	// ws_l1_miss_roundtrip_cycles histogram diff.
+	// round-trip latency (core cycles), from the window's diff of the
+	// memory subsystem's round-trip histogram.
 	LatP50, LatP95, LatP99 float64
 	// Bandwidth is the DRAM bus utilization within this window (the
-	// delta of the bus-busy and mem-tick counters between snapshots).
+	// delta of the bus-busy and mem-tick counters between reads).
 	Bandwidth float64
 	// EnginePhaseNs, when non-nil, holds the window's wall-clock phase
-	// costs (ws_prof_phase_ns deltas, indexed by prof.Phase). It is
-	// populated only when the sampled GPU has a self-profiler attached,
-	// so CSV goldens of unprofiled runs are untouched.
+	// costs (profiler phase-total deltas, indexed by prof.Phase). It is
+	// set only when the sampled GPU has a self-profiler attached and some
+	// phase advanced in the window, so CSV goldens of unprofiled runs are
+	// untouched.
 	EnginePhaseNs []float64
 }
 
@@ -52,66 +55,66 @@ type Timeline struct {
 	Window int64
 	Points []Point
 
-	// Events, when non-nil, is the run's structured event log. It is the
-	// primary source for RepartitionCycle and is rendered alongside the
-	// windowed counters by WriteChromeTrace. When it is a run-scoped view
-	// of a shared log (obs.EventLog.WithRun), only that run's events are
-	// read.
+	// Events, when non-nil, is the run's structured event log, rendered
+	// alongside the windowed counters by WriteChromeTrace. When it is a
+	// run-scoped view of a shared log (obs.EventLog.WithRun), only that
+	// run's events are read.
 	Events *obs.EventLog
 
 	kernels int
 
 	g    *gpu.GPU
-	reg  *obs.Registry
-	prev *obs.Snapshot
+	prev reading
 }
 
-// New creates a timeline with the given window length in cycles.
+// New creates a timeline with the given window length in cycles. The
+// window must be positive.
 func New(window int64) *Timeline {
 	if window <= 0 {
-		window = 5000
+		panic(fmt.Sprintf("trace: window = %d, must be positive", window))
 	}
 	return &Timeline{Window: window}
 }
 
 // Run advances the GPU in windows until `cycles` have elapsed (or all
-// kernels finish), recording one Point per window. A Timeline may be
-// reused across Run calls; pointing it at a different GPU (or a GPU whose
-// kernel set grew) re-baselines the window diffs instead of misindexing
-// slots.
+// kernels finish), recording one Point per window. Each call baselines
+// the window diffs at its start, so a Timeline may be reused across Run
+// calls and across GPUs.
 func (t *Timeline) Run(g *gpu.GPU, cycles int64) {
-	if t.g != g {
-		t.g = g
-		t.reg = obs.NewRegistry()
-		g.Register(t.reg)
-		t.prev = nil
-	}
-	t.kernels = len(g.Kernels)
-	if t.prev == nil {
-		t.prev = t.reg.Snapshot()
-	}
+	t.g, t.kernels = g, len(g.Kernels)
+	t.prev = read(g)
 	end := g.Now() + cycles
 	for g.Now() < end && !g.AllDone() {
-		step := t.Window
-		if rem := end - g.Now(); rem < step {
-			step = rem
-		}
-		g.RunCycles(step)
+		g.RunCycles(min(t.Window, end-g.Now()))
 		t.sample(g)
 	}
 }
 
-// kernelSeries builds the registry series name for one kernel slot.
-func kernelSeries(name string, slot int) string {
-	return obs.Label(name, "kernel", strconv.Itoa(slot))
+// reading is one read of the device counters a window diffs, plus the
+// resident CTAs per kernel slot (a level, not diffed).
+type reading struct {
+	cycle   int64
+	sm      sm.Stats
+	mem     mem.Stats
+	l1RT    obs.Hist
+	phaseNs [prof.NumPhases]int64
+	ctas    [sm.MaxKernels]int
 }
 
-// frac returns a/b, or 0 when b is not positive.
-func frac(a, b float64) float64 {
-	if b <= 0 {
-		return 0
+// read takes one reading of g.
+func read(g *gpu.GPU) reading {
+	r := reading{cycle: g.Now(), sm: g.AggregateSM(), mem: g.Mem.Stats(), l1RT: g.Mem.L1RoundTrip()}
+	if g.Prof != nil {
+		for ph, pc := range g.Prof.Summary().Phases {
+			r.phaseNs[ph] = pc.Ns
+		}
 	}
-	return a / b
+	for _, s := range g.SMs {
+		for k := range r.ctas {
+			r.ctas[k] += s.ResidentCTAs(k)
+		}
+	}
+	return r
 }
 
 // at reads s[k], tolerating short slices (points recorded before a kernel
@@ -123,60 +126,45 @@ func at(s []float64, k int) float64 {
 	return 0
 }
 
-// sample records one point at the GPU's current cycle.
+// sample records one point: the window from the previous reading to now.
 func (t *Timeline) sample(g *gpu.GPU) {
-	snap := t.reg.Snapshot()
-	p := Point{Cycle: g.Now()}
-
-	window := snap.Delta(t.prev, "ws_gpu_cycle")
-	if window <= 0 {
-		window = float64(t.Window)
+	cur, prev := read(g), &t.prev
+	window := cur.cycle - prev.cycle
+	a, b := &cur.sm, &prev.sm
+	dSlots := a.Slots - b.Slots
+	p := Point{
+		Start:     prev.cycle,
+		Cycle:     cur.cycle,
+		StallMem:  metrics.Frac(a.StallMem-b.StallMem, dSlots),
+		StallRAW:  metrics.Frac(a.StallRAW-b.StallRAW, dSlots),
+		StallExec: metrics.Frac(a.StallExec-b.StallExec, dSlots),
+		StallIBuf: metrics.Frac(a.StallIBuf-b.StallIBuf, dSlots),
+		Bandwidth: metrics.Frac(cur.mem.BusBusy-prev.mem.BusBusy, cur.mem.MemTicks-prev.mem.MemTicks),
 	}
-	for slot := 0; slot < t.kernels; slot++ {
-		dInsts := snap.Delta(t.prev, kernelSeries("ws_kernel_thread_insts_total", slot))
-		p.KernelIPC = append(p.KernelIPC, dInsts/window)
-		p.CTAs = append(p.CTAs, int(snap.Get(kernelSeries("ws_kernel_ctas_resident", slot))))
-	}
-
-	dSlots := snap.Delta(t.prev, "ws_sm_slots_total")
-	p.StallMem = frac(snap.Delta(t.prev, "ws_sm_stall_mem_total"), dSlots)
-	p.StallRAW = frac(snap.Delta(t.prev, "ws_sm_stall_raw_total"), dSlots)
-	p.StallExec = frac(snap.Delta(t.prev, "ws_sm_stall_exec_total"), dSlots)
-	p.StallIBuf = frac(snap.Delta(t.prev, "ws_sm_stall_ibuf_total"), dSlots)
-
-	for slot := 0; slot < t.kernels; slot++ {
-		p.KernelStallMem = append(p.KernelStallMem,
-			frac(snap.Delta(t.prev, kernelSeries("ws_sm_kernel_stall_mem_total", slot)), dSlots))
-		p.KernelStallRAW = append(p.KernelStallRAW,
-			frac(snap.Delta(t.prev, kernelSeries("ws_sm_kernel_stall_raw_total", slot)), dSlots))
-		p.KernelStallExec = append(p.KernelStallExec,
-			frac(snap.Delta(t.prev, kernelSeries("ws_sm_kernel_stall_exec_total", slot)), dSlots))
-		p.KernelStallIBuf = append(p.KernelStallIBuf,
-			frac(snap.Delta(t.prev, kernelSeries("ws_sm_kernel_stall_ibuf_total", slot)), dSlots))
+	for k := 0; k < t.kernels; k++ {
+		ka, kb := &a.PerKernel[k], &b.PerKernel[k]
+		p.KernelIPC = append(p.KernelIPC, metrics.IPC(ka.ThreadInsts-kb.ThreadInsts, window))
+		p.CTAs = append(p.CTAs, cur.ctas[k])
+		p.KernelStallMem = append(p.KernelStallMem, metrics.Frac(ka.StallMem-kb.StallMem, dSlots))
+		p.KernelStallRAW = append(p.KernelStallRAW, metrics.Frac(ka.StallRAW-kb.StallRAW, dSlots))
+		p.KernelStallExec = append(p.KernelStallExec, metrics.Frac(ka.StallExec-kb.StallExec, dSlots))
+		p.KernelStallIBuf = append(p.KernelStallIBuf, metrics.Frac(ka.StallIBuf-kb.StallIBuf, dSlots))
 	}
 
-	lat := snap.HistWindow(t.prev, "ws_l1_miss_roundtrip_cycles")
+	lat := cur.l1RT.Since(&prev.l1RT)
 	p.LatP50 = lat.Quantile(0.50)
 	p.LatP95 = lat.Quantile(0.95)
 	p.LatP99 = lat.Quantile(0.99)
 
-	p.Bandwidth = frac(snap.Delta(t.prev, "ws_dram_bus_busy_total"),
-		snap.Delta(t.prev, "ws_dram_ticks_total"))
-
-	var phases []float64
-	var any bool
-	for ph := prof.Phase(0); ph < prof.NumPhases; ph++ {
-		d := snap.Delta(t.prev, obs.Label("ws_prof_phase_ns", "phase", ph.String()))
-		if d > 0 {
-			any = true
+	// Phase totals only grow, so they differ exactly when some phase
+	// advanced in the window.
+	if cur.phaseNs != prev.phaseNs {
+		for ph, ns := range cur.phaseNs {
+			p.EnginePhaseNs = append(p.EnginePhaseNs, float64(ns-prev.phaseNs[ph]))
 		}
-		phases = append(phases, d)
-	}
-	if any {
-		p.EnginePhaseNs = phases
 	}
 
-	t.prev = snap
+	t.prev = cur
 	t.Points = append(t.Points, p)
 }
 
@@ -219,43 +207,4 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// runEvents returns the events of the timeline's own run: those emitted
-// under Events' run scope (nil without a log).
-func (t *Timeline) runEvents() []obs.Event {
-	if t.Events == nil {
-		return nil
-	}
-	return t.Events.FilterRun(t.Events.Run())
-}
-
-// RepartitionCycle returns the cycle the controller's repartition landed
-// for kernel `slot`, or -1 if none. With an attached event log the answer
-// is exact: the first repartition event that assigns the slot a non-zero
-// CTA budget. Without events it falls back to the CTA-direction heuristic
-// (the first window where the slot's resident CTA count changed after
-// being stable).
-func (t *Timeline) RepartitionCycle(slot int) int64 {
-	for _, ev := range t.runEvents() {
-		if ev.Kind != obs.EvRepartition {
-			continue
-		}
-		if slots, ok := ev.Ints("slots"); ok && slot >= 0 && slot < len(slots) && slots[slot] > 0 {
-			return ev.Cycle
-		}
-	}
-	if len(t.Points) < 3 {
-		return -1
-	}
-	for i := 2; i < len(t.Points); i++ {
-		a, b, c := t.Points[i-2], t.Points[i-1], t.Points[i]
-		if slot < 0 || slot >= len(a.CTAs) || slot >= len(b.CTAs) || slot >= len(c.CTAs) {
-			continue
-		}
-		if a.CTAs[slot] == b.CTAs[slot] && c.CTAs[slot] != b.CTAs[slot] {
-			return c.Cycle
-		}
-	}
-	return -1
 }

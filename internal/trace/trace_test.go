@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +14,8 @@ import (
 	"warpedslicer/internal/kernels"
 	"warpedslicer/internal/obs"
 	"warpedslicer/internal/policy"
+	"warpedslicer/internal/prof"
+	"warpedslicer/internal/sm"
 )
 
 func newTracedGPU() *gpu.GPU {
@@ -145,10 +151,19 @@ func TestTimelineSeesRepartition(t *testing.T) {
 	}
 }
 
-func TestTimelineDefaultWindow(t *testing.T) {
-	tl := New(0)
-	if tl.Window != 5000 {
-		t.Fatalf("default window = %d, want 5000", tl.Window)
+// TestNewRejectsNonPositiveWindow checks that New has no default window:
+// a non-positive one is a caller bug (the CLI rejects it before it gets
+// here), not a request for 5000 cycles.
+func TestNewRejectsNonPositiveWindow(t *testing.T) {
+	for _, w := range []int64{0, -7} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d) did not panic", w)
+				}
+			}()
+			New(w)
+		}()
 	}
 }
 
@@ -165,20 +180,23 @@ func TestTimelineStopsWhenAllDone(t *testing.T) {
 	}
 }
 
-// TestBandwidthIsWindowed replays an identical GPU window by window and
-// checks each Point.Bandwidth equals that window's DRAM bus utilization
-// delta — not the cumulative value since cycle 0.
+// TestBandwidthIsWindowed replays an identical GPU window by window,
+// diffing its SM aggregate and memory stats by hand, and checks each
+// Point against that window's values: DRAM bus utilization (not the
+// cumulative value since cycle 0), per-kernel IPC, SM-wide and per-kernel
+// stall fractions, and resident CTAs.
 func TestBandwidthIsWindowed(t *testing.T) {
 	g1 := newTracedGPU()
 	tl := New(2000)
 	tl.Run(g1, 12000)
 
 	g2 := newTracedGPU()
+	var prevSM sm.Stats
 	var prevBusy, prevTicks uint64
 	sawDifference := false
 	for i, p := range tl.Points {
 		g2.RunCycles(2000)
-		st := g2.Mem.Stats()
+		st, a := g2.Mem.Stats(), g2.AggregateSM()
 		dBusy, dTicks := st.BusBusy-prevBusy, st.MemTicks-prevTicks
 		want := 0.0
 		if dTicks > 0 {
@@ -190,10 +208,92 @@ func TestBandwidthIsWindowed(t *testing.T) {
 		if cum := st.BandwidthUtil(); cum != want {
 			sawDifference = true
 		}
-		prevBusy, prevTicks = st.BusBusy, st.MemTicks
+
+		slots := float64(a.Slots - prevSM.Slots)
+		frac := func(cur, prev uint64) float64 { return float64(cur-prev) / slots }
+		check := func(what string, got, want float64) {
+			t.Helper()
+			if got != want {
+				t.Fatalf("point %d %s = %v, want windowed %v", i, what, got, want)
+			}
+		}
+		check("stall_mem", p.StallMem, frac(a.StallMem, prevSM.StallMem))
+		check("stall_raw", p.StallRAW, frac(a.StallRAW, prevSM.StallRAW))
+		check("stall_exec", p.StallExec, frac(a.StallExec, prevSM.StallExec))
+		check("stall_ibuf", p.StallIBuf, frac(a.StallIBuf, prevSM.StallIBuf))
+		for k := range p.KernelIPC {
+			ka, kb := a.PerKernel[k], prevSM.PerKernel[k]
+			check(fmt.Sprintf("ipc k%d", k), p.KernelIPC[k], float64(ka.ThreadInsts-kb.ThreadInsts)/2000)
+			check(fmt.Sprintf("stall_mem k%d", k), p.KernelStallMem[k], frac(ka.StallMem, kb.StallMem))
+			check(fmt.Sprintf("stall_raw k%d", k), p.KernelStallRAW[k], frac(ka.StallRAW, kb.StallRAW))
+			check(fmt.Sprintf("stall_exec k%d", k), p.KernelStallExec[k], frac(ka.StallExec, kb.StallExec))
+			check(fmt.Sprintf("stall_ibuf k%d", k), p.KernelStallIBuf[k], frac(ka.StallIBuf, kb.StallIBuf))
+			ctas := 0
+			for _, s := range g2.SMs {
+				ctas += s.ResidentCTAs(k)
+			}
+			if p.CTAs[k] != ctas {
+				t.Fatalf("point %d ctas k%d = %d, want %d", i, k, p.CTAs[k], ctas)
+			}
+		}
+		prevSM, prevBusy, prevTicks = a, st.BusBusy, st.MemTicks
 	}
 	if !sawDifference {
 		t.Fatal("windowed and cumulative bandwidth never diverged; test proves nothing")
+	}
+}
+
+// TestChromeTracePartialLastWindow checks that a window cut short by the
+// end of the run is stamped at its real start, so it does not draw over
+// the tail of the window before it.
+func TestChromeTracePartialLastWindow(t *testing.T) {
+	tl := New(3000)
+	tl.Run(newTracedGPU(), 10000)
+	var buf bytes.Buffer
+	if err := tl.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tr chromeTrace
+	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for _, ev := range tr.TraceEvents {
+		if ev.Name == "ipc" {
+			got = append(got, ev.Ts)
+		}
+	}
+	if want := []int64{0, 3000, 6000, 9000}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ipc samples stamped at %v, want window starts %v", got, want)
+	}
+}
+
+// TestTimelineProfiled attaches the engine self-profiler: every window
+// carries one phase cost per prof.Phase, some of them positive, and the
+// Chrome trace gains the engine phase counter track.
+func TestTimelineProfiled(t *testing.T) {
+	g := newTracedGPU()
+	g.Prof = prof.New(37)
+	tl := New(2000)
+	tl.Run(g, 10000)
+	positive := false
+	for i, p := range tl.Points {
+		if len(p.EnginePhaseNs) != int(prof.NumPhases) {
+			t.Fatalf("point %d has %d engine phases, want %d", i, len(p.EnginePhaseNs), prof.NumPhases)
+		}
+		for _, ns := range p.EnginePhaseNs {
+			positive = positive || ns > 0
+		}
+	}
+	if !positive {
+		t.Error("no engine phase advanced in any window")
+	}
+	var buf bytes.Buffer
+	if err := tl.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"name":"engine phase ns"`)) {
+		t.Error("profiled chrome trace has no engine phase ns counters")
 	}
 }
 
@@ -254,24 +354,20 @@ func TestRepartitionCycleFromEvents(t *testing.T) {
 	if !ok {
 		t.Fatal("controller logged no repartition")
 	}
-	for slot := 0; slot < 2; slot++ {
-		if got := tl.RepartitionCycle(slot); got != rep.Cycle {
-			t.Fatalf("RepartitionCycle(%d) = %d, want exact event cycle %d", slot, got, rep.Cycle)
-		}
+	// The Chrome trace's controller track carries the repartition instant
+	// at the logged event's cycle.
+	found := false
+	for _, ev := range tl.controllerEvents() {
+		found = found || ev.Name == obs.EvRepartition && ev.Ts == rep.Cycle
 	}
-	// The event answer is exact — not quantized to a window boundary.
-	if rep.Cycle%tl.Window == 0 {
-		t.Logf("note: repartition happened to land on a window boundary (%d)", rep.Cycle)
-	}
-	// Out-of-range slots fall back to the heuristic, and must not panic.
-	if got := tl.RepartitionCycle(99); got != -1 {
-		t.Fatalf("RepartitionCycle(99) = %d, want -1", got)
+	if !found {
+		t.Fatalf("controller track has no repartition instant at cycle %d", rep.Cycle)
 	}
 }
 
 // TestTimelineReadsOnlyItsRunEvents checks that a timeline attached to a
-// run-scoped view of a shared log reads only that run's events, both for
-// RepartitionCycle and for the Chrome trace's controller track.
+// run-scoped view of a shared log reads only that run's events for the
+// Chrome trace's controller track.
 func TestTimelineReadsOnlyItsRunEvents(t *testing.T) {
 	root := obs.NewEventLog()
 	a := root.WithRun("timeline/dynamic/IMG_BLK")
@@ -287,11 +383,6 @@ func TestTimelineReadsOnlyItsRunEvents(t *testing.T) {
 	}{{a, 2500, 1}, {b, 1500, 2}} {
 		tl := New(1000)
 		tl.Events = c.log
-		for slot := 0; slot < 2; slot++ {
-			if got := tl.RepartitionCycle(slot); got != c.want {
-				t.Errorf("%s: RepartitionCycle(%d) = %d, want %d", c.log.Run(), slot, got, c.want)
-			}
-		}
 		evs := tl.controllerEvents()
 		if len(evs) != c.events {
 			t.Fatalf("%s: %d controller events, want %d: %+v", c.log.Run(), len(evs), c.events, evs)
@@ -299,25 +390,5 @@ func TestTimelineReadsOnlyItsRunEvents(t *testing.T) {
 		if evs[0].Ts != c.want {
 			t.Errorf("%s: first controller event at %d, want its own repartition at %d", c.log.Run(), evs[0].Ts, c.want)
 		}
-	}
-}
-
-func TestRepartitionCycleDetection(t *testing.T) {
-	tl := New(1000)
-	tl.kernels = 1
-	mk := func(cycle int64, ctas int) Point {
-		return Point{Cycle: cycle, CTAs: []int{ctas}, KernelIPC: []float64{1}}
-	}
-	tl.Points = []Point{mk(1000, 4), mk(2000, 4), mk(3000, 4), mk(4000, 7), mk(5000, 7)}
-	if got := tl.RepartitionCycle(0); got != 4000 {
-		t.Fatalf("repartition cycle = %d, want 4000", got)
-	}
-	tl.Points = []Point{mk(1000, 4), mk(2000, 4)}
-	if got := tl.RepartitionCycle(0); got != -1 {
-		t.Fatalf("short timeline should return -1, got %d", got)
-	}
-	tl.Points = []Point{mk(1000, 4), mk(2000, 4), mk(3000, 4), mk(4000, 4)}
-	if got := tl.RepartitionCycle(0); got != -1 {
-		t.Fatalf("flat timeline should return -1, got %d", got)
 	}
 }

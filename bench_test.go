@@ -261,9 +261,12 @@ func BenchmarkSimulatorCycle(b *testing.B) {
 }
 
 // BenchmarkSimulatorCycleMemoryBound is BenchmarkSimulatorCycle for the
-// Compute+Memory regime: MM co-running with BFS under the even partition,
-// where host time sits in the memory hierarchy rather than the issue
-// stage.
+// Compute+Memory regime: MM co-running with BFS under the even partition.
+// Most of BFS's issue slots stall with ready warps held back by a full
+// LD/ST line queue. The issue stage, not the memory hierarchy, is still
+// the larger host cost here (a CPU profile puts about half of it in
+// issueFrom and a fifth in the memory subsystem), so this tracks the
+// scheduler fast path that replays those slots.
 func BenchmarkSimulatorCycleMemoryBound(b *testing.B) {
 	g := gpu.New(config.Baseline(), policy.Even{})
 	g.AddKernel(kernels.ByAbbr("MM"), 0)

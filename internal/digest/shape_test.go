@@ -103,16 +103,18 @@ func shapeFingerprint() digest.Sum {
 }
 
 // pinnedShape maps each digest.Version to the struct-shape fingerprint it
-// was audited against. (The Version 1 pin was re-recorded twice without a
-// version bump, because neither change altered a hashed byte: once when
-// the walk started including unexported fields — only the fingerprint's
-// coverage changed — and once when the memory queues, miss-waiter maps
-// and SM writeback ring moved onto the queue package's rings, waiter
-// tables and a node arena, whose walks hash each queue front to back and
-// each waiter table in sorted line order exactly as the slices and maps
-// they replaced did.)
+// was audited against. (The Version 1 pin was re-recorded three times
+// without a version bump, because no change altered a hashed byte: once
+// when the walk started including unexported fields — only the
+// fingerprint's coverage changed — once when the memory queues,
+// miss-waiter maps and SM writeback ring moved onto the queue package's
+// rings, waiter tables and a node arena, whose walks hash each queue front
+// to back and each waiter table in sorted line order exactly as the slices
+// and maps they replaced did, and once when the SM scheduler's derived
+// cache gained the replay bound retryAt/retryMemQ, which the SM digest
+// excludes like the rest of that cache.)
 var pinnedShape = map[int]digest.Sum{
-	1: 0x4d864115df8ed2db,
+	1: 0xe90bdd2a0a11f60a,
 }
 
 func TestStructShapePinnedToDigestVersion(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"warpedslicer/internal/gpu"
+	"warpedslicer/internal/kernels"
 	"warpedslicer/internal/obs"
 	"warpedslicer/internal/policy"
 	"warpedslicer/internal/prof"
@@ -51,6 +52,21 @@ func TestEngineProfConservation(t *testing.T) {
 	}
 	if r.NsPerCycle != 0 {
 		t.Errorf("ns_per_cycle = %v with profiling off, want 0", r.NsPerCycle)
+	}
+}
+
+// TestSchedFastPathFloor pins the scheduler fast path's reach on a
+// memory-bound kernel: BFS alone on the Quick window (GTO) stalls in
+// nearly every slot, mostly with ready warps waiting on a full LD/ST
+// queue, and replaying those slots from the cached attribution is what
+// keeps its issue stage cheap. SchedFastSlots is a pure event count, so
+// the floor guards the speed-up without timing the host. Replaying only
+// slots with no ready warp gave 0.092 here.
+func TestSchedFastPathFloor(t *testing.T) {
+	o := Quick()
+	rows := FigEngineProf(NewSession(o), []Workload{{Specs: []*kernels.Spec{kernels.ByAbbr("BFS")}}})
+	if got := rows[0].SchedFastFrac; got < 0.9 {
+		t.Fatalf("BFS alone (%v scheduler): sched_fastpath_frac = %.4f, want >= 0.9", o.Sched, got)
 	}
 }
 

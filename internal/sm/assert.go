@@ -2,6 +2,7 @@ package sm
 
 import (
 	"warpedslicer/internal/assert"
+	"warpedslicer/internal/isa"
 	"warpedslicer/internal/warp"
 )
 
@@ -128,5 +129,28 @@ func (s *SM) checkInvariants() {
 	if s.waiters.Len() != s.l1.MSHRInUse() {
 		assert.Failf("sm %d cycle %d: waiters %d != L1 MSHRs in use %d",
 			s.ID, st.Cycles, s.waiters.Len(), s.l1.MSHRInUse())
+	}
+}
+
+// checkReplay re-runs, without side effects, the walk a replayed GTO slot
+// skipped (see the fast path in issueFrom): no ready warp may pass the
+// exit-load check and unitFree, and the walk's attribution must equal the
+// cached one. It runs on every replayed slot under the simassert build
+// tag, so every experiment test run with -tags simassert checks the
+// replay bound against ground truth.
+func (s *SM) checkReplay(q *schedQ, now int64) {
+	for _, r := range q.list {
+		if r.cls != warp.BlockNone || r.in.Kind == isa.EXIT && r.w.OutstandingLoads > 0 {
+			continue
+		}
+		if s.unitFree(r.in, now) {
+			assert.Failf("sm %d cycle %d: replayed slot skips a ready warp (kernel %d, %s) whose unit is free "+
+				"(retryAt %d, memQ %d, retryMemQ %d)",
+				s.ID, now, r.w.Kernel, r.in, q.retryAt, s.memQ.Len(), q.retryMemQ)
+		}
+	}
+	if cls, k := s.attribution(q, q.greedy, 0); cls != q.attrCls || k != q.attrK {
+		assert.Failf("sm %d cycle %d: replayed attribution (class %d, kernel %d) != walk (class %d, kernel %d)",
+			s.ID, now, q.attrCls, q.attrK, cls, k)
 	}
 }

@@ -12,8 +12,9 @@ import (
 // only:
 //
 //   - The derived scheduler caches are excluded — schedQ.list/staleQ/
-//     greedy/ready/attr* and the per-resident cls/in/stale cache are
-//     reconstructible from warp state (resyncSched does exactly that),
+//     greedy/ready/attr*/retryAt/retryMemQ and the per-resident
+//     cls/in/stale cache are reconstructible from warp and unit state
+//     (resyncSched and the next walk do exactly that),
 //     and excluding them keeps the reference rescan scheduler (CycleRef)
 //     and the ready-set scheduler digest-identical, which is what the
 //     schedref cross-check compares. schedQ.rrNext stays in: the

@@ -1,6 +1,8 @@
 package sm
 
 import (
+	"math"
+
 	"warpedslicer/internal/assert"
 	"warpedslicer/internal/cache"
 	"warpedslicer/internal/isa"
@@ -200,13 +202,23 @@ type stallSaw struct {
 func (s *SM) issueFrom(sched int, now int64) bool {
 	q := &s.scheds[sched]
 
-	// Fast path: a fully-blocked GTO slot with no pending readiness
-	// events replays its cached stall attribution. With ready == 0 the
-	// walk below cannot issue, touches no per-cycle state (unitFree and
-	// the exit-load check only run for ready warps), and its outcome
-	// depends only on the cached classes and the static greedy-then-
-	// oldest order — all unchanged since the attribution was cached.
-	if s.Sched == GTO && q.attrValid && q.ready == 0 && len(q.staleQ) == 0 {
+	// Fast path: a GTO slot that issued nothing replays its cached stall
+	// attribution while the walk below provably would too. No readiness
+	// event has arrived since (markStale and resyncSched clear
+	// attrValid), so every blocked warp's class, the greedy warp and the
+	// oldest-first order are unchanged. Every ready warp is still
+	// refused: before retryAt no unit one of them waits on can free
+	// (another scheduler issues only on a free unit, which makes units
+	// busier, never idler), and the LD/ST queue, read live, is still too
+	// full for each global access it held back. A ready EXIT waiting on
+	// loads needs no bound: lineDone wakes it through markStale. A refused
+	// tryIssue has no side effects, so the walk would issue nothing and
+	// charge the same class to the same kernel.
+	if s.Sched == GTO && q.attrValid && len(q.staleQ) == 0 &&
+		(q.ready == 0 || now < q.retryAt && s.memQ.Len() > q.retryMemQ) {
+		if assert.Enabled {
+			s.checkReplay(q, now)
+		}
 		s.stats.SchedFastSlots++
 		s.chargeStall(q.attrCls, q.attrK)
 		return false
@@ -229,7 +241,9 @@ func (s *SM) issueFrom(sched int, now int64) bool {
 	// separate walk below so issuing slots never pay for it. Nothing the
 	// pass observes mutates between candidates (an issue ends the slot,
 	// and ends the walk: CTA retirement may compact q.list in place).
+	// Each refusal folds into the retry bound the fast path tests.
 	greedy := q.greedy // snapshot: an issue reassigns q.greedy mid-slot
+	q.retryAt, q.retryMemQ = math.MaxInt64, -1
 	issued := false
 	rrStart := 0
 	switch s.Sched {
@@ -247,22 +261,23 @@ func (s *SM) issueFrom(sched int, now int64) bool {
 			}
 		}
 	default: // GTO: greedy on most-recently-issued, then oldest.
-		if q.ready > 0 {
-			if greedy != nil && greedy.cls == warp.BlockNone {
-				issued = s.tryIssue(q, greedy, now)
+		// left counts the ready warps not yet tried; the walk ends once
+		// all of them were.
+		left := q.ready
+		if greedy != nil && greedy.cls == warp.BlockNone {
+			issued = s.tryIssue(q, greedy, now)
+			left--
+		}
+		// Oldest-first by launch age (list preserves launch order).
+		for _, r := range q.list {
+			if issued || left == 0 {
+				break
 			}
-			if !issued {
-				// Oldest-first by launch age (list preserves launch order).
-				for _, r := range q.list {
-					if r.cls != warp.BlockNone || r == greedy {
-						continue
-					}
-					if s.tryIssue(q, r, now) {
-						issued = true
-						break
-					}
-				}
+			if r.cls != warp.BlockNone || r == greedy {
+				continue
 			}
+			left--
+			issued = s.tryIssue(q, r, now)
 		}
 	}
 
@@ -271,56 +286,68 @@ func (s *SM) issueFrom(sched int, now int64) bool {
 		return true
 	}
 
-	// Attribution pass (no-issue slot): first-seen blocked warp per stall
-	// class, in the same priority order the issue pass used. Ready warps
-	// reaching this pass are unissuable this slot (the issue pass proved
-	// it, and nothing has changed since), so they attribute as exec or
-	// exit-load-wait.
-	saw := stallSaw{mem: -1, raw: -1, exec: -1, ibuf: -1}
-	if s.Sched == RR {
-		n := len(q.list)
-		for i := 0; i < n; i++ {
-			s.attribute(q.list[(rrStart+i)%n], now, &saw)
-		}
-	} else {
-		if greedy != nil {
-			s.attribute(greedy, now, &saw)
-		}
-		for _, r := range q.list {
-			if r != greedy {
-				s.attribute(r, now, &saw)
-			}
-		}
-	}
-
-	cls, k := stallIdleC, 0
-	switch {
-	case saw.mem >= 0:
-		cls, k = stallMemC, saw.mem
-	case saw.raw >= 0:
-		cls, k = stallRAWC, saw.raw
-	case saw.exec >= 0:
-		cls, k = stallExecC, saw.exec
-	case saw.ibuf >= 0:
-		cls, k = stallIBufC, saw.ibuf
-	}
+	cls, k := s.attribution(q, greedy, rrStart)
 	s.chargeStall(cls, k)
-	if s.Sched == GTO && q.ready == 0 {
+	if s.Sched == GTO {
 		q.attrValid, q.attrCls, q.attrK = true, cls, k
 	}
 	return false
 }
 
+// attribution is the no-issue slot's stall class and kernel: the
+// first-seen blocked warp per stall class, in the same priority order the
+// issue pass used, with the highest-ranked class winning. Ready warps
+// reaching this walk are unissuable this slot (the issue pass proved it,
+// and nothing has changed since), so they attribute as exec or
+// exit-load-wait. Memory outranks every other class and only its first
+// warp's kernel is charged, so the walk stops at the first memory stall.
+func (s *SM) attribution(q *schedQ, greedy *resident, rrStart int) (stallClass, int) {
+	saw := stallSaw{mem: -1, raw: -1, exec: -1, ibuf: -1}
+	if s.Sched == RR {
+		n := len(q.list)
+		for i := 0; i < n && saw.mem < 0; i++ {
+			s.attribute(q.list[(rrStart+i)%n], &saw)
+		}
+	} else {
+		if greedy != nil {
+			s.attribute(greedy, &saw)
+		}
+		for _, r := range q.list {
+			if saw.mem >= 0 {
+				break
+			}
+			if r != greedy {
+				s.attribute(r, &saw)
+			}
+		}
+	}
+
+	switch {
+	case saw.mem >= 0:
+		return stallMemC, saw.mem
+	case saw.raw >= 0:
+		return stallRAWC, saw.raw
+	case saw.exec >= 0:
+		return stallExecC, saw.exec
+	case saw.ibuf >= 0:
+		return stallIBufC, saw.ibuf
+	}
+	return stallIdleC, 0
+}
+
 // tryIssue attempts to issue a ready (cls == BlockNone) candidate,
-// reporting whether it did.
+// reporting whether it did. A refusal has no side effects beyond folding
+// the candidate into q's retry bound.
 func (s *SM) tryIssue(q *schedQ, r *resident, now int64) bool {
 	in := r.in
 	// Exits must wait for outstanding loads so the CTA's resources are
-	// not freed under in-flight replies.
+	// not freed under in-flight replies. The last load's lineDone marks
+	// the warp stale, so the refusal needs no retry bound.
 	if in.Kind == isa.EXIT && r.w.OutstandingLoads > 0 {
 		return false
 	}
 	if !s.unitFree(in, now) {
+		s.noteBusy(q, in, now)
 		return false
 	}
 	s.issue(r, in, now)
@@ -333,8 +360,35 @@ func (s *SM) tryIssue(q *schedQ, r *resident, now int64) bool {
 	return true
 }
 
+// noteBusy folds an instruction that unitFree just refused into q's retry
+// bound. retryAt drops to the cycle its unit next frees; a global access
+// held back by the LD/ST queue alone instead raises retryMemQ to the
+// longest queue it could join. Any other refusal pins retryAt to now,
+// which disables the replay.
+func (s *SM) noteBusy(q *schedQ, in isa.Instr, now int64) {
+	at := now
+	switch in.Kind {
+	case isa.ALU:
+		at = math.MaxInt64
+		for _, free := range s.aluFreeAt {
+			at = min(at, free)
+		}
+	case isa.SFU:
+		at = s.sfuFreeAt
+	case isa.LDS:
+		at = s.ldstFreeAt
+	case isa.LDG, isa.STG:
+		if s.ldstFreeAt <= now {
+			q.retryMemQ = max(q.retryMemQ, memQCap-globalLines(in))
+			return
+		}
+		at = s.ldstFreeAt
+	}
+	q.retryAt = min(q.retryAt, at)
+}
+
 // attribute records r's stall class into saw (first-seen per class).
-func (s *SM) attribute(r *resident, now int64, saw *stallSaw) {
+func (s *SM) attribute(r *resident, saw *stallSaw) {
 	k := r.w.Kernel % MaxKernels
 	switch r.cls {
 	case warp.BlockDone, warp.BlockBarrier:
@@ -394,16 +448,20 @@ func (s *SM) unitFree(in isa.Instr, now int64) bool {
 	case isa.SFU:
 		return s.sfuFreeAt <= now
 	case isa.LDG, isa.STG:
-		lines := int(in.Lines)
-		if lines == 0 {
-			lines = 1
-		}
-		return s.ldstFreeAt <= now && s.memQ.Len()+lines <= memQCap
+		return s.ldstFreeAt <= now && s.memQ.Len()+globalLines(in) <= memQCap
 	case isa.LDS:
 		return s.ldstFreeAt <= now
 	default: // BAR, EXIT consume only the issue slot
 		return true
 	}
+}
+
+// globalLines is the number of LD/ST queue entries a global access takes.
+func globalLines(in isa.Instr) int {
+	if in.Lines == 0 {
+		return 1
+	}
+	return int(in.Lines)
 }
 
 // issue executes one instruction's issue-stage effects.
@@ -460,10 +518,7 @@ func (s *SM) issue(r *resident, in isa.Instr, now int64) {
 		s.schedule(now, int64(s.cfg.SM.LDSLatency)+(passes-1)*warpCycles, wbEvent{res: r, reg: in.Dest})
 
 	case isa.LDG, isa.STG:
-		lines := int(in.Lines)
-		if lines == 0 {
-			lines = 1
-		}
+		lines := globalLines(in)
 		occ := warpCycles
 		if int64(lines) > occ {
 			occ = int64(lines)

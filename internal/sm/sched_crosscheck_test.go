@@ -3,6 +3,7 @@
 package sm
 
 import (
+	"math"
 	"testing"
 
 	"warpedslicer/internal/config"
@@ -22,30 +23,51 @@ import (
 // of the SM diverged first. SchedFastSlots is excluded by the digest
 // contract: it counts the ready-set path's cache hits, which the
 // reference path by definition never takes.
+//
+// A third SM, narrow, runs the ready-set scheduler with its retry bound
+// forced to the past before every cycle, so its fast path replays only
+// slots with no ready warp. It must stay digest-identical too, and its
+// SchedFastSlots is the count the ready == 0 path alone gives, which the
+// widened-path cases compare the ready-set SM against.
 
 type smPair struct {
-	ref, rdy       *SM
-	refSub, rdySub *mem.Subsystem
+	ref, rdy, narrow          *SM
+	refSub, rdySub, narrowSub *mem.Subsystem
 }
 
 func newPair(cfg config.GPU, kind SchedulerKind) *smPair {
-	refSub, rdySub := mem.New(cfg), mem.New(cfg)
+	refSub, rdySub, narrowSub := mem.New(cfg), mem.New(cfg), mem.New(cfg)
 	p := &smPair{
-		ref: New(0, cfg, refSub), rdy: New(0, cfg, rdySub),
-		refSub: refSub, rdySub: rdySub,
+		ref: New(0, cfg, refSub), rdy: New(0, cfg, rdySub), narrow: New(0, cfg, narrowSub),
+		refSub: refSub, rdySub: rdySub, narrowSub: narrowSub,
 	}
-	p.ref.Sched, p.rdy.Sched = kind, kind
+	p.ref.Sched, p.rdy.Sched, p.narrow.Sched = kind, kind, kind
 	return p
 }
+
+func (p *smPair) sms() []*SM { return []*SM{p.ref, p.rdy, p.narrow} }
 
 func (p *smPair) launch(t *testing.T, kernel int, spec *kernels.Spec, base uint64, gridID int) bool {
 	t.Helper()
 	a := p.ref.Launch(kernel, spec, base, gridID)
 	b := p.rdy.Launch(kernel, spec, base, gridID)
-	if a != b {
-		t.Fatalf("launch divergence for kernel %d grid %d: ref=%v ready-set=%v", kernel, gridID, a, b)
+	c := p.narrow.Launch(kernel, spec, base, gridID)
+	if a != b || a != c {
+		t.Fatalf("launch divergence for kernel %d grid %d: ref=%v ready-set=%v narrow=%v", kernel, gridID, a, b, c)
 	}
 	return a
+}
+
+// quota bounds each kernel slot in ks to ctas resident CTAs on every SM
+// (intra-SM slicing), so all the kernels stay resident together.
+func (p *smPair) quota(ctas int, ks ...int) {
+	for _, s := range p.sms() {
+		q := Unlimited()
+		q.CTAs = ctas
+		for _, k := range ks {
+			s.SetQuota(k, q)
+		}
+	}
 }
 
 // fill launches CTAs of spec until the SM refuses one, returning the next
@@ -62,20 +84,31 @@ func (p *smPair) fill(t *testing.T, kernel int, spec *kernels.Spec, base uint64,
 func (p *smPair) run(t *testing.T, from, to int64) {
 	t.Helper()
 	for now := from; now < to; now++ {
+		for i := range p.narrow.scheds {
+			p.narrow.scheds[i].retryAt = math.MinInt64
+		}
 		p.ref.CycleRef(now)
 		p.rdy.Cycle(now, nil)
+		p.narrow.Cycle(now, nil)
 		for _, r := range p.refSub.Tick(now) {
 			p.ref.OnReply(r.LineAddr)
 		}
 		for _, r := range p.rdySub.Tick(now) {
 			p.rdy.OnReply(r.LineAddr)
 		}
-		if digest.Of(p.ref) == digest.Of(p.rdy) {
-			continue
+		for _, r := range p.narrowSub.Tick(now) {
+			p.narrow.OnReply(r.LineAddr)
+		}
+		want := digest.Of(p.ref)
+		got := p.rdy
+		if digest.Of(got) == want {
+			if got = p.narrow; digest.Of(got) == want {
+				continue
+			}
 		}
 		// Localize the divergence: hash each canonical section separately
 		// and name the first that differs.
-		sr, sn := p.ref.DigestSections(), p.rdy.DigestSections()
+		sr, sn := p.ref.DigestSections(), got.DigestSections()
 		section := "(chain)"
 		for i := range sr {
 			if sr[i].Sum != sn[i].Sum {
@@ -83,8 +116,12 @@ func (p *smPair) run(t *testing.T, from, to int64) {
 				break
 			}
 		}
-		t.Fatalf("cycle %d: scheduler divergence in section %q\nref stats:       %+v\nready-set stats: %+v\nref state: %s\nrdy state: %s",
-			now, section, p.ref.Stats(), p.rdy.Stats(), p.ref.DebugWarpStates(now), p.rdy.DebugWarpStates(now))
+		name := "ready-set"
+		if got == p.narrow {
+			name = "narrow"
+		}
+		t.Fatalf("cycle %d: %s scheduler divergence in section %q\nref stats: %+v\n%s stats: %+v\nref state: %s\n%s state: %s",
+			now, name, section, p.ref.Stats(), name, got.Stats(), p.ref.DebugWarpStates(now), name, got.DebugWarpStates(now))
 	}
 }
 
@@ -108,8 +145,22 @@ func (p *smPair) relaunch(t *testing.T, specs map[int]*kernels.Spec, base map[in
 			s.Launch(kernel, specs[kernel], base[kernel], g)
 		}
 	}
-	p.ref.OnCTAComplete = hook(p.ref)
-	p.rdy.OnCTAComplete = hook(p.rdy)
+	for _, s := range p.sms() {
+		s.OnCTAComplete = hook(s)
+	}
+}
+
+// widened reports the ready-set SM's fast-path slots against the narrow
+// SM's, failing the test unless replays with ready warps added some.
+func (p *smPair) widened(t *testing.T) {
+	t.Helper()
+	rdy, narrow := p.rdy.Stats(), p.narrow.Stats()
+	if rdy.SchedFastSlots <= narrow.SchedFastSlots {
+		t.Fatalf("fast path did not widen: %d fast slots with ready-warp replay, %d without (of %d slots)",
+			rdy.SchedFastSlots, narrow.SchedFastSlots, rdy.Slots)
+	}
+	t.Logf("fast slots: %d with ready-warp replay, %d without (of %d slots)",
+		rdy.SchedFastSlots, narrow.SchedFastSlots, rdy.Slots)
 }
 
 func TestCrossCheckGTOSingleKernel(t *testing.T) {
@@ -131,12 +182,7 @@ func TestCrossCheckGTOCoRunWithHalt(t *testing.T) {
 	p := newPair(cfg, GTO)
 	p.relaunch(t, specs, base, halted)
 	// Intra-SM slicing: bound each kernel so both stay resident.
-	for _, s := range []*SM{p.ref, p.rdy} {
-		q := Unlimited()
-		q.CTAs = 3
-		s.SetQuota(0, q)
-		s.SetQuota(1, q)
-	}
+	p.quota(3, 0, 1)
 	g0 := p.fill(t, 0, mm, base[0], 0)
 	g1 := p.fill(t, 1, hot, base[1], 0)
 	p.run(t, 0, 3000)
@@ -144,8 +190,9 @@ func TestCrossCheckGTOCoRunWithHalt(t *testing.T) {
 	// Mid-run halt with loads in flight: the halted kernel's residents
 	// drop out of the scheduler lists while its trackers keep draining.
 	halted[0] = true
-	p.ref.HaltKernel(0)
-	p.rdy.HaltKernel(0)
+	for _, s := range p.sms() {
+		s.HaltKernel(0)
+	}
 	// Replacement CTAs after the halt exercise the monotonic assignment
 	// counter on a shrunken warp set.
 	g1 = p.fill(t, 1, hot, base[1], g1)
@@ -160,13 +207,42 @@ func TestCrossCheckRRCoRun(t *testing.T) {
 	base := map[int]uint64{0: 1 << 40, 1: 2 << 40}
 	p := newPair(cfg, RR)
 	p.relaunch(t, specs, base, map[int]bool{})
-	for _, s := range []*SM{p.ref, p.rdy} {
-		q := Unlimited()
-		q.CTAs = 2
-		s.SetQuota(0, q)
-		s.SetQuota(1, q)
-	}
+	p.quota(2, 0, 1)
 	p.fill(t, 0, hot, base[0], 0)
 	p.fill(t, 1, mvp, base[1], 0)
 	p.run(t, 0, 8000)
+}
+
+// TestCrossCheckGTOQueueBound co-runs a compute kernel with a scattered
+// memory kernel under CTA quotas, so ready LDG/STG warps wait on a full
+// LD/ST line queue and the fast path replays slots on the queue bound.
+func TestCrossCheckGTOQueueBound(t *testing.T) {
+	cfg := config.Baseline()
+	mm, bfs := kernels.ByAbbr("MM"), kernels.ByAbbr("BFS")
+	specs := map[int]*kernels.Spec{0: mm, 1: bfs}
+	base := map[int]uint64{0: 1 << 40, 1: 2 << 40}
+	p := newPair(cfg, GTO)
+	p.relaunch(t, specs, base, map[int]bool{})
+	p.quota(3, 0, 1)
+	p.fill(t, 0, mm, base[0], 0)
+	p.fill(t, 1, bfs, base[1], 0)
+	p.run(t, 0, 8000)
+	p.widened(t)
+}
+
+// TestCrossCheckGTOUnitBound co-runs two SFU-heavy kernels, so ready
+// warps wait on a busy SFU and the fast path replays slots until the
+// retry cycle.
+func TestCrossCheckGTOUnitBound(t *testing.T) {
+	cfg := config.Baseline()
+	img, blk := kernels.ByAbbr("IMG"), kernels.ByAbbr("BLK")
+	specs := map[int]*kernels.Spec{0: img, 1: blk}
+	base := map[int]uint64{0: 1 << 40, 1: 2 << 40}
+	p := newPair(cfg, GTO)
+	p.relaunch(t, specs, base, map[int]bool{})
+	p.quota(3, 0, 1)
+	p.fill(t, 0, img, base[0], 0)
+	p.fill(t, 1, blk, base[1], 0)
+	p.run(t, 0, 8000)
+	p.widened(t)
 }

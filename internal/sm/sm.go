@@ -154,13 +154,23 @@ type schedQ struct {
 	rrNext int
 	ready  int
 
-	// attrValid caches the stall attribution of a fully-blocked GTO slot
-	// (ready == 0): with no ready warp the walk outcome is a pure function
-	// of the cached classes and the static greedy-then-oldest order, so it
-	// is replayed until the next readiness event invalidates it.
+	// attrValid caches the stall attribution of the last GTO slot that
+	// issued nothing. Blocked warps keep their cached classes and the
+	// greedy-then-oldest order stays fixed until a readiness event
+	// (markStale, resyncSched) clears attrValid. Ready warps the slot
+	// refused stay refused while now < retryAt and the live LD/ST queue
+	// holds more than retryMemQ lines, so the cache is replayed until
+	// either bound runs out (see issueFrom).
 	attrValid bool
 	attrCls   stallClass
 	attrK     int
+	// retryAt is the earliest cycle a unit that a refused ready warp waits
+	// on can free: min of aluFreeAt for ALU, sfuFreeAt for SFU and
+	// ldstFreeAt for LDS, and for LDG/STG while the LD/ST unit is busy.
+	retryAt int64
+	// retryMemQ is the longest LD/ST queue that some refused LDG/STG,
+	// held back by the queue alone, could join (memQCap − its lines).
+	retryMemQ int
 }
 
 // KernelStats accumulates per-kernel-slot activity on one SM.
@@ -205,10 +215,10 @@ type Stats struct {
 	// Stall attribution in scheduler-slots (Figure 1 / Figure 7c classes).
 	StallMem, StallRAW, StallExec, StallIBuf, StallIdle uint64
 	// SchedFastSlots counts issue slots resolved on the scheduler fast
-	// path: a fully-blocked GTO slot whose stall attribution was replayed
-	// from cache with no walk over the warp list. Pure event bookkeeping —
-	// no wall clock — so it is deterministic and part of the obs surface
-	// (ws_sm_sched_fastpath_total).
+	// path: a GTO slot that cannot issue whose stall attribution was
+	// replayed from cache with no walk over the warp list. Pure event
+	// bookkeeping — no wall clock — so it is deterministic and part of
+	// the obs surface (ws_sm_sched_fastpath_total).
 	SchedFastSlots uint64
 	// Cycle classification for the fast-forward opportunity meter (ROADMAP
 	// item 2a): every SM-cycle lands in exactly one class, so the four sum
